@@ -35,7 +35,8 @@ use xtrapulp_obs::{FlightKind, Histogram};
 use crate::error::CommError;
 use crate::stats::{CollectiveKind, CommStats};
 use crate::transport::{
-    Frame, InProcFabric, Transport, TransportError, WireElem, WireMessage, FRAME_HEADER_BYTES,
+    CodecError, Frame, InProcFabric, Transport, TransportError, WireElem, WireMessage,
+    FRAME_HEADER_BYTES,
 };
 use crate::watchdog::Stall;
 
@@ -877,6 +878,14 @@ impl RankCtx {
             }
         }
         fail(err)
+    }
+
+    /// Fail the job on a frame from `peer` that decoded but does not fit the caller's
+    /// protocol (a buffer or index that disagrees with a plan both ranks share). The
+    /// rank unwinds with [`TransportError::Codec`], which [`Runtime::try_execute`]
+    /// reports like any undecodable frame.
+    pub fn reject_frame(&self, peer: usize, source: CodecError) -> ! {
+        self.fail_op(TransportError::Codec { peer, source })
     }
 
     /// Trip the stall watchdog: flight-record the trip, dump the post-mortem,

@@ -39,6 +39,14 @@ pub enum CodecError {
         /// Bytes the frame carried.
         got: usize,
     },
+    /// A message decoded but addressed an entry past the end of the receiver's
+    /// table — the peers disagree on an index plan they are meant to share.
+    IndexOutOfRange {
+        /// The index the message carried.
+        index: usize,
+        /// Entries in the receiver's table.
+        len: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -55,6 +63,9 @@ impl fmt::Display for CodecError {
                     f,
                     "frame payload of {got} bytes is not a multiple of the {elem_size}-byte element"
                 )
+            }
+            CodecError::IndexOutOfRange { index, len } => {
+                write!(f, "frame addresses entry {index} of a {len}-entry table")
             }
         }
     }

@@ -310,15 +310,6 @@ pub fn vertex_balance(
             |v, part| updates.push((v, part)),
         );
 
-        if std::env::var_os("XTRAPULP_DEBUG").is_some() {
-            eprintln!(
-                "[balance dbg] rank {} iter_tot {} moved {} sizes {:?}",
-                ctx.rank(),
-                counter.iter_tot,
-                updates.len(),
-                size_v
-            );
-        }
         push_part_updates_marking(ctx, graph, &updates, parts, ghosts, &mut engine.frontier);
         let mut all = Vec::with_capacity(p + 1);
         all.extend_from_slice(&counters.change_v);

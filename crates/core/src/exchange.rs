@@ -1,13 +1,14 @@
 //! The boundary update exchange (`ExchangeUpdates`, Algorithm 3 of the paper).
 //!
 //! After a rank reassigns some of its owned vertices, every rank that keeps a ghost copy
-//! of those vertices must learn the new part labels before the next iteration. A rank
-//! `t` holds a ghost of vertex `v` exactly when `t` owns at least one neighbour of `v`,
-//! so the sender walks `v`'s adjacency, collects the set of neighbouring ranks (with a
-//! `to_send` dedup bitmap, as in the paper), and ships `(global_id, new_part)` pairs with
-//! one `Alltoallv`.
+//! of those vertices must learn the new part labels before the next iteration. The
+//! graph's [`GhostPlan`](xtrapulp_graph::GhostPlan) already lists, for every owned
+//! vertex, the `(peer, index)` of each ghost copy, so the sender ships
+//! `(plan index, new_part)` pairs — 8 bytes each — with one `Alltoallv`, and the
+//! receiver finds the ghost at that index of its `recv` list for the sender. Neither
+//! side walks adjacency or translates global ids.
 
-use xtrapulp_comm::RankCtx;
+use xtrapulp_comm::{CodecError, RankCtx};
 use xtrapulp_graph::{DistGraph, LocalId};
 
 use crate::sweep::Frontier;
@@ -104,40 +105,33 @@ fn push_part_updates_impl(
     parts: &mut [i32],
     mut marking: Option<(&GhostNeighborMap, &mut Frontier)>,
 ) -> u64 {
-    let nranks = ctx.nranks();
-    let rank = ctx.rank();
-    // Build per-destination buffers of (global id, new part) pairs. `to_send` deduplicates
-    // destinations per updated vertex, exactly like the boolean array in Algorithm 3.
-    let mut sends: Vec<Vec<(u64, i32)>> = vec![Vec::new(); nranks];
-    let mut to_send = vec![false; nranks];
+    let plan = graph.plan();
+    let mut sends: Vec<Vec<(u32, i32)>> = vec![Vec::new(); ctx.nranks()];
     for &(v, new_part) in updates {
         debug_assert!(graph.is_owned(v), "only owned vertices can be reassigned");
-        for flag in to_send.iter_mut() {
-            *flag = false;
-        }
-        for &u in graph.neighbors(v) {
-            let owner = graph.owner_of_local(u);
-            if owner != rank && !to_send[owner] {
-                to_send[owner] = true;
-                sends[owner].push((graph.global_id(v), new_part));
-            }
+        for &(peer, index) in plan.copies(v) {
+            sends[peer as usize].push((index, new_part));
         }
     }
 
-    let received = ctx.alltoallv(sends);
+    let n_owned = graph.n_owned();
     let mut applied = 0u64;
-    for buf in received {
-        for (global, new_part) in buf {
-            let lid = graph
-                .local_id(global)
-                .expect("received a part update for a vertex this rank does not know");
-            debug_assert!(
-                !graph.is_owned(lid),
-                "part updates must only arrive for ghost vertices"
-            );
+    for (src, buf) in ctx.alltoallv(sends).into_iter().enumerate() {
+        let slots = plan.recv(src);
+        for (index, new_part) in buf {
+            let index = index as usize;
+            let Some(&lid) = slots.get(index) else {
+                ctx.reject_frame(
+                    src,
+                    CodecError::IndexOutOfRange {
+                        index,
+                        len: slots.len(),
+                    },
+                );
+            };
             if let Some((ghosts, frontier)) = marking.as_mut() {
                 if parts[lid as usize] != new_part {
-                    for &v in ghosts.owned_neighbors(lid as usize - graph.n_owned()) {
+                    for &v in ghosts.owned_neighbors(lid as usize - n_owned) {
                         frontier.mark(v);
                     }
                 }
@@ -229,6 +223,27 @@ mod tests {
                 let lid = (g.n_owned() + slot) as LocalId;
                 assert_eq!(parts[lid as usize], g.global_id(lid) as i32);
             }
+        });
+    }
+
+    #[test]
+    fn pushed_updates_cost_eight_payload_bytes_each() {
+        let edges = ring(12);
+        Runtime::run(3, |ctx| {
+            let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 12, &edges);
+            let mut parts = vec![0i32; g.n_total()];
+            // Move every owned vertex: each update goes once to every ghost copy.
+            let updates: Vec<PartUpdate> = g.owned_vertices().map(|v| (v, 1)).collect();
+            let copies: usize = updates.iter().map(|&(v, _)| g.plan().copies(v).len()).sum();
+            assert_eq!(
+                copies, 2,
+                "both ends of a 4-vertex block are ghosts next door"
+            );
+            let before = ctx.stats().bytes_sent();
+            let applied = push_part_updates(ctx, &g, &updates, &mut parts);
+            assert_eq!(ctx.stats().bytes_sent_since(before), 8 * copies as u64);
+            assert_eq!(applied, g.n_ghost() as u64);
+            assert!(parts[g.n_owned()..].iter().all(|&p| p == 1));
         });
     }
 

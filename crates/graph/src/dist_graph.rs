@@ -8,7 +8,9 @@
 //! * a *ghost* table for the one-hop neighbourhood owned by other ranks (global id,
 //!   owning rank, and global degree of each ghost);
 //! * a hash map translating global ids to local ids, and a flat array for the reverse
-//!   direction — exactly the scheme the paper describes.
+//!   direction — exactly the scheme the paper describes;
+//! * a [`GhostPlan`] pairing every ghost with its owner's copy by index, so ghost
+//!   values and part updates travel without global ids or hash lookups.
 //!
 //! Local ids are laid out as `[0, n_owned)` for owned vertices followed by
 //! `[n_owned, n_owned + n_ghost)` for ghosts, so per-vertex state (part labels, BFS
@@ -16,9 +18,13 @@
 
 use std::collections::HashMap;
 
-use xtrapulp_comm::{RankCtx, WireElem};
+use xtrapulp_comm::{CodecError, RankCtx, WireElem};
 
+use crate::plan::GhostPlan;
 use crate::{Csr, Distribution, GlobalId, LocalId};
+
+/// Marks a global id with no local id yet in the construction scratch map.
+const NO_LOCAL: LocalId = LocalId::MAX;
 
 /// A rank-local view of a globally distributed undirected graph.
 #[derive(Debug, Clone)]
@@ -37,6 +43,8 @@ pub struct DistGraph {
     /// Global degree of each ghost vertex.
     ghost_degree: Vec<u64>,
     global_to_local: HashMap<GlobalId, LocalId>,
+    /// Index-addressed routing of ghost values between owners and ghost copies.
+    plan: GhostPlan,
     /// CSR offsets over owned vertices (length `n_owned + 1`).
     offsets: Vec<u64>,
     /// CSR adjacency in local ids (owned or ghost).
@@ -77,19 +85,17 @@ impl DistGraph {
     }
 
     /// Build the local graph from a globally shared [`Csr`].
+    ///
+    /// Rows may be unsorted or carry duplicates and self-loops (as
+    /// [`Csr::from_parts`] allows); construction normalises them.
     pub fn from_csr(ctx: &RankCtx, dist: Distribution, csr: &Csr) -> Self {
-        let rank = ctx.rank();
-        let nranks = ctx.nranks();
         let global_n = csr.num_vertices() as u64;
-        let mut arcs = Vec::new();
-        for u in dist.owned_vertices(rank, global_n, nranks) {
-            for &v in csr.neighbors(u) {
-                if u != v {
-                    arcs.push((u, v));
-                }
-            }
-        }
-        Self::from_owned_arcs(ctx, dist, global_n, arcs)
+        let owned_global = dist
+            .owned_vertices(ctx.rank(), global_n, ctx.nranks())
+            .collect();
+        Self::from_rows(ctx, dist, global_n, owned_global, |_, u, row| {
+            row.extend_from_slice(csr.neighbors(u))
+        })
     }
 
     /// Build the local graph when each rank holds an arbitrary chunk of the global edge
@@ -130,64 +136,123 @@ impl DistGraph {
         Self::from_owned_arcs(ctx, dist, global_n, my_arcs)
     }
 
-    /// Core constructor: `arcs` are directed arcs whose source is owned by this rank.
-    /// Duplicates are removed; ghost metadata (owner, degree) is fetched collectively.
+    /// Build from directed arcs whose source is owned by this rank. Duplicates are
+    /// removed; ghost metadata (owner, degree) is fetched collectively.
     fn from_owned_arcs(
         ctx: &RankCtx,
         dist: Distribution,
         global_n: u64,
         mut arcs: Vec<(GlobalId, GlobalId)>,
     ) -> Self {
+        let owned_global = dist
+            .owned_vertices(ctx.rank(), global_n, ctx.nranks())
+            .collect();
+        arcs.sort_unstable();
+        // Sorted by source, so each owned vertex's row is the next run of arcs.
+        let mut rest = arcs.as_slice();
+        Self::from_rows(ctx, dist, global_n, owned_global, |_, u, row| {
+            while let Some((&(a, v), tail)) = rest.split_first() {
+                if a > u {
+                    break;
+                }
+                if a == u {
+                    row.push(v);
+                }
+                rest = tail;
+            }
+        })
+    }
+
+    /// Construction core shared by every constructor: streams each owned vertex's row
+    /// straight into the local CSR, then builds the ghost exchange plan.
+    ///
+    /// `fill_row(lu, gu, row)` appends the neighbour global ids of owned vertex `gu`
+    /// (local id `lu`) to the empty `row`, in any order, possibly with duplicates and
+    /// self-loops, which are dropped here. `owned_global` must be ascending, so ghost
+    /// local ids are assigned in first-seen order over rows sorted by `(u, v)`.
+    fn from_rows(
+        ctx: &RankCtx,
+        dist: Distribution,
+        global_n: u64,
+        owned_global: Vec<GlobalId>,
+        mut fill_row: impl FnMut(usize, GlobalId, &mut Vec<GlobalId>),
+    ) -> Self {
         let rank = ctx.rank();
         let nranks = ctx.nranks();
-
-        let owned_global: Vec<GlobalId> = dist.owned_vertices(rank, global_n, nranks).collect();
         let n_owned = owned_global.len();
-        let mut global_to_local: HashMap<GlobalId, LocalId> = HashMap::with_capacity(n_owned * 2);
-        for (i, &g) in owned_global.iter().enumerate() {
-            global_to_local.insert(g, i as LocalId);
+
+        // Dense global→local scratch map. The input graph or delta is global on every
+        // rank, so a `global_n`-sized table adds no asymptotic memory, and it replaces
+        // the per-arc hashing a map keyed by global id would cost.
+        let mut local_of = vec![NO_LOCAL; global_n as usize];
+        for (lid, &g) in owned_global.iter().enumerate() {
+            local_of[g as usize] = lid as LocalId;
         }
-
-        arcs.sort_unstable();
-        arcs.dedup();
-
-        // Assign ghost local ids in first-seen (sorted) order.
-        let mut ghost_global = Vec::new();
-        for &(_, v) in &arcs {
-            if let std::collections::hash_map::Entry::Vacant(e) = global_to_local.entry(v) {
-                let lid = (n_owned + ghost_global.len()) as LocalId;
-                e.insert(lid);
-                ghost_global.push(v);
+        let mut offsets = Vec::with_capacity(n_owned + 1);
+        offsets.push(0u64);
+        let mut adjacency: Vec<LocalId> = Vec::new();
+        let mut ghost_global: Vec<GlobalId> = Vec::new();
+        let mut row = Vec::new();
+        for (lu, &gu) in owned_global.iter().enumerate() {
+            row.clear();
+            fill_row(lu, gu, &mut row);
+            if !row.is_sorted() {
+                row.sort_unstable();
             }
-        }
-
-        // Build CSR over owned vertices.
-        let mut offsets = vec![0u64; n_owned + 1];
-        for &(u, _) in &arcs {
-            let lu = global_to_local[&u] as usize;
-            debug_assert!(lu < n_owned, "arc source must be owned by this rank");
-            offsets[lu + 1] += 1;
-        }
-        for i in 0..n_owned {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut adjacency = vec![0 as LocalId; arcs.len()];
-        let mut cursor = offsets.clone();
-        for &(u, v) in &arcs {
-            let lu = global_to_local[&u] as usize;
-            adjacency[cursor[lu] as usize] = global_to_local[&v];
-            cursor[lu] += 1;
+            row.dedup();
+            for &gv in &row {
+                if gv == gu {
+                    continue;
+                }
+                let lid = &mut local_of[gv as usize];
+                if *lid == NO_LOCAL {
+                    *lid = (n_owned + ghost_global.len()) as LocalId;
+                    ghost_global.push(gv);
+                }
+                adjacency.push(*lid);
+            }
+            offsets.push(adjacency.len() as u64);
         }
 
         let ghost_owner: Vec<u32> = ghost_global
             .iter()
             .map(|&g| dist.owner(g, global_n, nranks) as u32)
             .collect();
+        let mut global_to_local = HashMap::with_capacity(n_owned + ghost_global.len());
+        for (lid, &g) in owned_global.iter().chain(&ghost_global).enumerate() {
+            global_to_local.insert(g, lid as LocalId);
+        }
 
         // Global undirected edge count: every arc's source is owned by exactly one rank,
         // and each undirected edge produces two arcs overall.
         let local_arcs = adjacency.len() as u64;
         let global_m = ctx.allreduce_scalar_sum_u64(local_arcs) / 2;
+
+        // The exchange plan. Each rank asks the owners for its ghosts in slot order; an
+        // owner's translation of that request is its `send` list for the asker.
+        let mut requests: Vec<Vec<GlobalId>> = vec![Vec::new(); nranks];
+        let mut recv: Vec<Vec<LocalId>> = vec![Vec::new(); nranks];
+        for (slot, (&g, &owner)) in ghost_global.iter().zip(&ghost_owner).enumerate() {
+            requests[owner as usize].push(g);
+            recv[owner as usize].push((n_owned + slot) as LocalId);
+        }
+        // Every rank computes owners with the same distribution, so a request only
+        // names vertices this rank owns. Anything else is skipped, never indexed, and
+        // the shortened list fails the asker's length check in the degree pull below.
+        let send: Vec<Vec<LocalId>> = ctx
+            .alltoallv(requests)
+            .into_iter()
+            .map(|wanted| {
+                wanted
+                    .into_iter()
+                    .filter_map(|g| {
+                        let lid = *local_of.get(usize::try_from(g).ok()?)?;
+                        ((lid as usize) < n_owned).then_some(lid)
+                    })
+                    .collect()
+            })
+            .collect();
+        drop(local_of);
 
         let mut graph = DistGraph {
             global_n,
@@ -195,6 +260,7 @@ impl DistGraph {
             rank,
             nranks,
             dist,
+            plan: GhostPlan::new(n_owned, send, recv),
             owned_global,
             ghost_global,
             ghost_owner,
@@ -204,8 +270,8 @@ impl DistGraph {
             adjacency,
         };
 
-        // Fetch the global degree of every ghost from its owner (needed by the weighted
-        // balance phase, which weights neighbour counts by degree).
+        // Ghost global degrees weight the balance phase's neighbour counts; they ride the
+        // plan like every other ghost value.
         let owned_degrees: Vec<u64> = (0..graph.n_owned())
             .map(|v| graph.degree_owned(v as LocalId))
             .collect();
@@ -223,13 +289,13 @@ impl DistGraph {
     ///
     /// When vertex ownership is stable under the delta (always for `Cyclic`, `Hashed`
     /// and `Explicit` distributions; for `Block` when no vertices are added), the rebuild
-    /// is incremental: owned local ids are preserved, each owned vertex's sorted
-    /// adjacency row is merged with the delta in one linear pass, the global→local map is
-    /// patched (stale ghosts evicted, new owned/ghost entries added) and only the ghost
-    /// metadata (owner, degree) is re-fetched. Growing a `Block` distribution shifts the
-    /// ownership of existing vertices, so that case falls back to migrating the surviving
-    /// arcs to their new owners with one all-to-all exchange — still without touching the
-    /// original edge list. Growing an `Explicit` distribution extends its ownership
+    /// is incremental: owned local ids are preserved, and each owned vertex's sorted
+    /// adjacency row is merged with the delta in one linear pass and streamed through the
+    /// same construction core as a cold build, which re-assigns ghost slots, rebuilds the
+    /// exchange plan and re-fetches the ghost metadata (owner, degree). Growing a `Block`
+    /// distribution shifts the ownership of existing vertices, so that case falls back to
+    /// migrating the surviving arcs to their new owners with one all-to-all exchange —
+    /// still without touching the original edge list. Growing an `Explicit` distribution extends its ownership
     /// table by hashing the new tail vertices to ranks ([`Distribution::grown`]):
     /// existing owners are untouched, so the incremental path applies.
     ///
@@ -259,7 +325,6 @@ impl DistGraph {
 
     /// Incremental rebuild for deltas that do not move any existing vertex between ranks.
     fn apply_delta_stable(&self, ctx: &RankCtx, delta: &crate::delta::GraphDelta) -> Self {
-        let rank = self.rank;
         let nranks = self.nranks;
         let new_n = delta.new_n();
         // Deterministic and prefix-stable, so existing owners are unchanged and every
@@ -271,20 +336,12 @@ impl DistGraph {
         // owned by this rank are appended, keeping owned local ids valid and sorted.
         let mut owned_global = self.owned_global.clone();
         let old_n_owned = owned_global.len();
-        for g in self.global_n..new_n {
-            if dist.owner(g, new_n, nranks) == rank {
-                owned_global.push(g);
-            }
-        }
-        let n_owned = owned_global.len();
+        owned_global
+            .extend((self.global_n..new_n).filter(|&g| dist.owner(g, new_n, nranks) == self.rank));
 
         // Merge each owned row with the delta in global-id space. Rows are sorted by
-        // neighbour global id (construction sorts arcs by `(u, v)`), so this is linear.
-        let mut offsets = Vec::with_capacity(n_owned + 1);
-        offsets.push(0u64);
-        let mut adj_global: Vec<GlobalId> =
-            Vec::with_capacity(self.adjacency.len() + delta.insert_arcs().len());
-        for (lu, &gu) in owned_global.iter().enumerate() {
+        // neighbour global id, so this is linear and the merged row needs no sort.
+        Self::from_rows(ctx, dist, new_n, owned_global, |lu, gu, row| {
             if lu < old_n_owned {
                 crate::delta::merge_row(
                     self.neighbors(lu as LocalId)
@@ -292,63 +349,12 @@ impl DistGraph {
                         .map(|&lv| self.global_id(lv)),
                     delta.inserts_from(gu),
                     delta.deletes_from(gu),
-                    &mut adj_global,
+                    row,
                 );
             } else {
-                adj_global.extend(delta.inserts_from(gu).iter().map(|&(_, v)| v));
+                row.extend(delta.inserts_from(gu).iter().map(|&(_, v)| v));
             }
-            offsets.push(adj_global.len() as u64);
-        }
-
-        // Patch the global→local map: evict stale ghost entries (deletions may orphan
-        // ghosts, and growth shifts every ghost local id), register new owned vertices,
-        // then re-assign ghost slots in first-seen row order.
-        let mut global_to_local = self.global_to_local.clone();
-        for &g in &self.ghost_global {
-            global_to_local.remove(&g);
-        }
-        for (lid, &g) in owned_global.iter().enumerate().skip(old_n_owned) {
-            global_to_local.insert(g, lid as LocalId);
-        }
-        let mut ghost_global: Vec<GlobalId> = Vec::with_capacity(self.ghost_global.len());
-        let mut adjacency = Vec::with_capacity(adj_global.len());
-        for &gv in &adj_global {
-            let lid = *global_to_local.entry(gv).or_insert_with(|| {
-                let lid = (n_owned + ghost_global.len()) as LocalId;
-                ghost_global.push(gv);
-                lid
-            });
-            adjacency.push(lid);
-        }
-        let ghost_owner: Vec<u32> = ghost_global
-            .iter()
-            .map(|&g| dist.owner(g, new_n, nranks) as u32)
-            .collect();
-
-        let local_arcs = adjacency.len() as u64;
-        let global_m = ctx.allreduce_scalar_sum_u64(local_arcs) / 2;
-
-        let mut graph = DistGraph {
-            global_n: new_n,
-            global_m,
-            rank,
-            nranks,
-            dist,
-            owned_global,
-            ghost_global,
-            ghost_owner,
-            ghost_degree: Vec::new(),
-            global_to_local,
-            offsets,
-            adjacency,
-        };
-        // Insertions and deletions change degrees, so ghost degrees are re-fetched.
-        let owned_degrees: Vec<u64> = (0..graph.n_owned())
-            .map(|v| graph.degree_owned(v as LocalId))
-            .collect();
-        graph.ghost_degree = graph.ghost_values_u64(ctx, &owned_degrees);
-        graph.account_ghosts();
-        graph
+        })
     }
 
     /// Migration rebuild for deltas that shift existing-vertex ownership (growing a
@@ -437,12 +443,13 @@ impl DistGraph {
     }
 
     /// Approximate heap footprint of this rank's ghost tables in bytes: the
-    /// ghost global-id, owner, and degree arrays plus the ghosts' share of the
+    /// ghost global-id, owner, and degree arrays, the ghosts' share of the
     /// global→local map (keyed entries at ~24 bytes each with hash-table
-    /// overhead).
+    /// overhead), and the exchange plan's `send`/`recv` and `(peer, index)`
+    /// arrays.
     pub fn ghost_bytes(&self) -> u64 {
         let n_ghost = self.ghost_global.len() as u64;
-        n_ghost * (8 + 4 + 8) + n_ghost * 24
+        n_ghost * (8 + 4 + 8) + n_ghost * 24 + self.plan.approx_bytes()
     }
 
     /// Approximate heap footprint of the whole rank-local graph in bytes:
@@ -540,6 +547,12 @@ impl DistGraph {
         &self.ghost_global
     }
 
+    /// The ghost exchange plan: which owned vertices each peer holds as ghosts, and
+    /// which ghosts each peer owns, paired by index.
+    pub fn plan(&self) -> &GhostPlan {
+        &self.plan
+    }
+
     // --------------------------------------------------------------------------------
     // Ghost exchange
     // --------------------------------------------------------------------------------
@@ -563,51 +576,38 @@ impl DistGraph {
         self.ghost_values_with(ctx, |v| owned_values[v as usize])
     }
 
-    /// Generic pull-based ghost exchange: every rank answers requests for its owned
-    /// vertices with `value_of(local_owned_id)`, and receives the values of its ghosts.
+    /// Generic ghost exchange over the [`GhostPlan`]: every owner pushes
+    /// `value_of(local_owned_id)` for each entry of its `send` lists, and every rank
+    /// scatters what arrives into the matching `recv` slots. One `alltoallv`, no global
+    /// ids on the wire, no hash lookups.
     pub fn ghost_values_with<T, F>(&self, ctx: &RankCtx, value_of: F) -> Vec<T>
     where
-        T: WireElem,
+        T: WireElem + Default,
         F: Fn(LocalId) -> T,
     {
-        let nranks = self.nranks;
-        // Group ghost requests by owning rank, remembering each ghost's slot so replies
-        // can be scattered back into place.
-        let mut requests: Vec<Vec<GlobalId>> = vec![Vec::new(); nranks];
-        let mut request_slots: Vec<Vec<usize>> = vec![Vec::new(); nranks];
-        for (slot, (&g, &owner)) in self
-            .ghost_global
-            .iter()
-            .zip(self.ghost_owner.iter())
-            .enumerate()
-        {
-            requests[owner as usize].push(g);
-            request_slots[owner as usize].push(slot);
-        }
-        let incoming = ctx.alltoallv(requests);
-        // Answer every request with the value of the owned vertex.
-        let replies: Vec<Vec<T>> = incoming
-            .iter()
-            .map(|reqs| {
-                reqs.iter()
-                    .map(|&g| {
-                        let lid = self.global_to_local[&g];
-                        debug_assert!(self.is_owned(lid));
-                        value_of(lid)
-                    })
-                    .collect()
-            })
+        let pushed: Vec<Vec<T>> = (0..self.nranks)
+            .map(|t| self.plan.send(t).iter().map(|&v| value_of(v)).collect())
             .collect();
-        let answered = ctx.alltoallv(replies);
-        let mut out = vec![None; self.n_ghost()];
-        for (owner, values) in answered.into_iter().enumerate() {
-            for (slot, value) in request_slots[owner].iter().zip(values) {
-                out[*slot] = Some(value);
+        let n_owned = self.n_owned();
+        let mut out = vec![T::default(); self.n_ghost()];
+        for (owner, values) in ctx.alltoallv(pushed).into_iter().enumerate() {
+            let slots = self.plan.recv(owner);
+            // One value per entry of the owner's `send` list for this rank, which pairs
+            // index by index with `slots`; any other length is a broken plan.
+            if values.len() != slots.len() {
+                ctx.reject_frame(
+                    owner,
+                    CodecError::BadLength {
+                        expected: slots.len() * T::SIZE,
+                        got: values.len() * T::SIZE,
+                    },
+                );
+            }
+            for (&lid, value) in slots.iter().zip(values) {
+                out[lid as usize - n_owned] = value;
             }
         }
-        out.into_iter()
-            .map(|v| v.expect("ghost exchange missed a ghost"))
-            .collect()
+        out
     }
 
     /// Convenience: extend a per-owned-vertex state vector to cover ghosts too, by
@@ -686,28 +686,134 @@ mod tests {
         assert_eq!(out.iter().sum::<u64>(), 14);
     }
 
+    /// Block, Cyclic, Hashed and an Explicit table that matches none of them.
+    fn all_distributions(n: u64, nranks: usize) -> Vec<Distribution> {
+        let owners: Vec<i32> = (0..n)
+            .map(|v| ((v * 7 + 3) % nranks as u64) as i32)
+            .collect();
+        vec![
+            Distribution::Block,
+            Distribution::Cyclic,
+            Distribution::Hashed,
+            Distribution::from_parts(&owners),
+        ]
+    }
+
     #[test]
     fn from_csr_and_from_shared_edges_agree() {
         let edges = two_triangles();
-        let csr = csr_from_edges(6, &edges);
-        let out = Runtime::run(3, |ctx| {
-            let a = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, 6, &edges);
-            let b = DistGraph::from_csr(ctx, Distribution::Cyclic, &csr);
-            assert_eq!(a.n_owned(), b.n_owned());
-            assert_eq!(a.n_ghost(), b.n_ghost());
-            assert_eq!(a.local_arcs(), b.local_arcs());
-            for v in 0..a.n_owned() as LocalId {
-                let mut na: Vec<GlobalId> =
-                    a.neighbors(v).iter().map(|&u| a.global_id(u)).collect();
-                let mut nb: Vec<GlobalId> =
-                    b.neighbors(v).iter().map(|&u| b.global_id(u)).collect();
-                na.sort_unstable();
-                nb.sort_unstable();
-                assert_eq!(na, nb);
+        let clean = csr_from_edges(6, &edges);
+        // The same graph with unsorted rows, duplicates and self-loops, all of which
+        // `Csr::from_parts` accepts and construction must normalise away.
+        let messy = Csr::from_parts(
+            vec![0, 3, 6, 11, 15, 17, 19],
+            vec![
+                2, 1, 2, // 0
+                2, 0, 0, // 1
+                3, 1, 2, 0, 1, // 2
+                5, 4, 2, 3, // 3
+                5, 3, // 4
+                4, 3, // 5
+            ],
+        );
+        for nranks in [1usize, 2, 3] {
+            for dist in all_distributions(6, nranks) {
+                Runtime::run(nranks, |ctx| {
+                    let shared = DistGraph::from_shared_edges(ctx, dist.clone(), 6, &edges);
+                    for csr in [&clean, &messy] {
+                        assert_same_graph(&DistGraph::from_csr(ctx, dist.clone(), csr), &shared);
+                    }
+                });
             }
-            true
-        });
-        assert!(out.iter().all(|&x| x));
+        }
+    }
+
+    /// A 40-vertex graph with a ring, strided chords and a hub, so every rank pair
+    /// exchanges ghosts on up to 8 ranks under each distribution.
+    fn plan_graph() -> Vec<(GlobalId, GlobalId)> {
+        let mut edges: Vec<_> = (0..40u64).map(|i| (i, (i + 1) % 40)).collect();
+        edges.extend((0..40u64).map(|i| (i, (i * 7 + 3) % 40)));
+        edges.extend((1..40u64).step_by(3).map(|i| (0, i)));
+        edges
+    }
+
+    /// One rank's plan in global ids: `(send, recv)` lists per peer.
+    type PlanGlobals = (Vec<Vec<GlobalId>>, Vec<Vec<GlobalId>>);
+
+    /// Check the plan's rank-local invariants and return it in global ids.
+    fn plan_globals(g: &DistGraph) -> PlanGlobals {
+        let plan = g.plan();
+        let mut covered = vec![false; g.n_ghost()];
+        for t in 0..g.nranks() {
+            for &lid in plan.recv(t) {
+                assert_eq!(
+                    g.owner_of_local(lid),
+                    t,
+                    "recv[{t}] holds a ghost of rank {t}"
+                );
+                let slot = lid as usize - g.n_owned();
+                assert!(!covered[slot], "ghost slot {slot} listed twice");
+                covered[slot] = true;
+            }
+            for (index, &v) in plan.send(t).iter().enumerate() {
+                assert!(g.is_owned(v));
+                assert!(plan.copies(v).contains(&(t as u32, index as u32)));
+            }
+        }
+        assert!(covered.iter().all(|&c| c), "every ghost has an owner entry");
+        let copies: usize = g.owned_vertices().map(|v| plan.copies(v).len()).sum();
+        let sent: usize = (0..g.nranks()).map(|t| plan.send(t).len()).sum();
+        assert_eq!(copies, sent, "copies() is the transpose of send()");
+        let ids =
+            |list: &[LocalId]| -> Vec<GlobalId> { list.iter().map(|&v| g.global_id(v)).collect() };
+        (
+            (0..g.nranks()).map(|t| ids(plan.send(t))).collect(),
+            (0..g.nranks()).map(|t| ids(plan.recv(t))).collect(),
+        )
+    }
+
+    #[test]
+    fn exchange_plan_pairs_every_ghost_with_its_owner() {
+        use crate::delta::GraphDelta;
+        let edges = plan_graph();
+        let csr = csr_from_edges(40, &edges);
+        // Without growth every distribution takes the stable path; growth makes `Block`
+        // migrate while the others stay stable.
+        let deltas = [
+            GraphDelta::new(40, 0, &[(1, 20), (5, 33)], &[(0, 1), (3, 24)]),
+            GraphDelta::new(40, 3, &[(40, 0), (41, 17), (42, 40)], &[(10, 11)]),
+        ];
+        for nranks in [1usize, 2, 3, 8] {
+            for dist in all_distributions(40, nranks) {
+                let built = Runtime::run(nranks, |ctx| {
+                    let chunk: Vec<_> = edges
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| i % nranks == ctx.rank())
+                        .map(|(_, &e)| e)
+                        .collect();
+                    let shared = DistGraph::from_shared_edges(ctx, dist.clone(), 40, &edges);
+                    let mut graphs = vec![
+                        DistGraph::from_csr(ctx, dist.clone(), &csr),
+                        DistGraph::from_local_edges(ctx, dist.clone(), 40, chunk),
+                    ];
+                    graphs.extend(deltas.iter().map(|d| shared.apply_delta(ctx, d)));
+                    graphs.push(shared);
+                    graphs.iter().map(plan_globals).collect::<Vec<_>>()
+                });
+                for build in 0..built[0].len() {
+                    for (owner, plans) in built.iter().enumerate() {
+                        for (t, peer) in built.iter().enumerate() {
+                            assert_eq!(
+                                plans[build].0[t], peer[build].1[owner],
+                                "{dist:?} on {nranks} ranks, build {build}: send[{t}] on \
+                                 rank {owner} vs recv[{owner}] on rank {t}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -787,13 +893,51 @@ mod tests {
             let owned: Vec<u64> = (0..g.n_owned())
                 .map(|v| 1000 + g.global_id(v as LocalId))
                 .collect();
+            let before = ctx.stats().alltoallv_calls();
             let ghosts = g.ghost_values_u64(ctx, &owned);
+            assert_eq!(
+                ctx.stats().alltoallv_calls() - before,
+                1,
+                "one round per pull"
+            );
             for (slot, &gv) in ghosts.iter().enumerate() {
                 assert_eq!(gv, 1000 + g.ghost_globals()[slot]);
             }
             let full = g.extend_with_ghosts_u64(ctx, &owned);
             assert_eq!(full.len(), g.n_total());
         });
+    }
+
+    #[test]
+    fn ranks_that_disagree_on_the_plan_fail_typed() {
+        use xtrapulp_comm::{CommError, TransportError};
+        let edges = two_triangles();
+        let mut rt = Runtime::new(2);
+        // Ranks must share one distribution. Here they do not, so rank 0 cannot place
+        // one of rank 1's ghost requests and the ghost-degree pull comes up short.
+        let err = rt
+            .try_execute(|ctx| {
+                let dist = if ctx.rank() == 0 {
+                    Distribution::Block
+                } else {
+                    Distribution::Cyclic
+                };
+                DistGraph::from_shared_edges(ctx, dist, 6, &edges).n_ghost()
+            })
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CommError::Transport(TransportError::Codec {
+                    peer: 0,
+                    source: CodecError::BadLength {
+                        expected: 24,
+                        got: 16
+                    }
+                })
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -835,6 +979,11 @@ mod tests {
         }
         for v in 0..a.n_total() as LocalId {
             assert_eq!(a.local_id(a.global_id(v)), Some(v));
+            assert_eq!(a.owner_of_local(v), b.owner_of_local(v));
+        }
+        for t in 0..a.nranks() {
+            assert_eq!(a.plan().send(t), b.plan().send(t));
+            assert_eq!(a.plan().recv(t), b.plan().recv(t));
         }
     }
 

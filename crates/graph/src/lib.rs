@@ -14,7 +14,7 @@
 //! * [`Distribution`] — the vertex-to-rank ownership functions (block, cyclic, hashed)
 //!   the paper discusses ("we utilize either random and block distributions").
 //! * [`DistGraph`] — the per-rank local graph: owned vertices, ghost table, local CSR,
-//!   ghost degrees and a pull-based ghost value exchange.
+//!   ghost degrees and an index-addressed ghost value exchange ([`GhostPlan`]).
 //! * [`bfs`] — serial and distributed breadth-first search (used by the initialisation
 //!   strategy, the diameter estimator and the analytics crate).
 //! * [`stats`] — degree statistics and the iterative-BFS diameter estimate used to build
@@ -30,12 +30,14 @@ pub mod delta;
 pub mod dist_graph;
 pub mod distribution;
 pub mod io;
+pub mod plan;
 pub mod stats;
 
 pub use csr::{csr_from_edges, Csr, CsrBuilder};
 pub use delta::{GraphDelta, TimedOp, UpdateOp};
 pub use dist_graph::DistGraph;
 pub use distribution::Distribution;
+pub use plan::GhostPlan;
 pub use stats::GraphStats;
 
 /// Global vertex identifier. The paper works with graphs of up to 2^34 vertices, so
