@@ -2,11 +2,8 @@
 
 use serde::Serialize;
 use xtrapulp::metrics::PartitionQuality;
-use xtrapulp::sweep::{StageBreakdown, SweepStats};
-use xtrapulp::{
-    try_pulp_partition_from_with_stats_timed, try_pulp_partition_with_stats_timed,
-    validate_warm_start, PartitionError,
-};
+use xtrapulp::sweep::StageBreakdown;
+use xtrapulp::{try_pulp_run, validate_warm_start, PartitionError};
 use xtrapulp_comm::{CommStatsSnapshot, PhaseTimer};
 use xtrapulp_dynamic::{
     seed_from_previous, DynamicGraph, GraphDelta, UpdateBatch, UpdateError, UpdateSummary,
@@ -300,53 +297,47 @@ impl DynamicSession {
         })
     }
 
-    /// Serial methods: cold via the regular submission path (except PuLP, which runs
-    /// directly so its real sweep counts can be reported), warm via the method's
-    /// [`WarmStartPartitioner`](xtrapulp::WarmStartPartitioner). The multilevel and
-    /// naive methods report 0 sweeps.
+    /// Serial methods. PuLP runs directly, cold or warm, so its real sweep counts and
+    /// stage breakdown can be reported. The other methods run warm through their
+    /// [`WarmStartPartitioner`](xtrapulp::WarmStartPartitioner) when a seed exists, and
+    /// cold through the regular submission path otherwise; they report 0 sweeps.
     fn run_serial(
         &mut self,
         warm_seed: Option<&[i32]>,
         touched: Option<&[GlobalId]>,
     ) -> Result<(PartitionReport, u64, u64, StageBreakdown), PartitionError> {
-        if warm_seed.is_none() && self.job.method != Method::Pulp {
-            let report = self.session.submit(&self.job, self.graph.csr())?;
-            return Ok((report, 0, 0, StageBreakdown::default()));
-        }
         let csr = self.graph.csr();
         let params = self.job.params;
         let mut timings = PhaseTimer::new();
-        let (parts, stats) = match (self.job.method, warm_seed) {
-            (Method::Pulp, None) => {
-                let (parts, stats, sweep_timings) = timings.time("partition", || {
-                    try_pulp_partition_with_stats_timed(csr, &params)
+        let (parts, quality, lp_sweeps, vertices_scored, stages) =
+            if self.job.method == Method::Pulp {
+                let result = timings.time("partition", || {
+                    try_pulp_run(csr, &params, warm_seed, touched)
                 })?;
-                // The per-stage sweep wall-clock breakdown ends up in the report's
-                // timings, same phase names as the distributed path.
-                timings.merge_max(&sweep_timings);
-                (parts, stats)
-            }
-            (Method::Pulp, Some(seed)) => {
-                let (parts, stats, sweep_timings) = timings.time("partition", || {
-                    try_pulp_partition_from_with_stats_timed(csr, &params, seed, touched)
-                })?;
-                timings.merge_max(&sweep_timings);
-                (parts, stats)
-            }
-            (method, Some(seed)) => {
-                let partitioner = method
-                    .build_warm(self.session.nranks())
-                    .expect("warm_seed is only built for warm-capable methods");
+                // The per-stage breakdown ends up in the report's timings, same phase names
+                // as the distributed path.
+                timings.merge_max(&result.timings);
+                (
+                    result.parts,
+                    result.quality,
+                    result.lp_sweeps,
+                    result.vertices_scored,
+                    result.stages,
+                )
+            } else {
+                let warm = warm_seed.zip(self.job.method.build_warm(self.session.nranks()));
+                let Some((seed, partitioner)) = warm else {
+                    let report = self.session.submit(&self.job, csr)?;
+                    return Ok((report, 0, 0, StageBreakdown::default()));
+                };
                 let parts = timings.time("partition", || {
                     partitioner.try_partition_from(csr, &params, seed)
                 })?;
-                (parts, SweepStats::default())
-            }
-            (_, None) => unreachable!("non-PuLP cold serial jobs go through Session::submit"),
-        };
-        let quality = timings.time("metrics", || {
-            PartitionQuality::evaluate(csr, &parts, params.num_parts)
-        });
+                let quality = timings.time("metrics", || {
+                    PartitionQuality::evaluate(csr, &parts, params.num_parts)
+                });
+                (parts, quality, 0, 0, StageBreakdown::default())
+            };
         self.session.note_job_completed();
         Ok((
             PartitionReport {
@@ -361,9 +352,9 @@ impl DynamicSession {
                 comm: CommStatsSnapshot::default(),
                 trace_path: None,
             },
-            stats.sweeps,
-            stats.vertices_scored,
-            stats.stages,
+            lp_sweeps,
+            vertices_scored,
+            stages,
         ))
     }
 }

@@ -7,7 +7,7 @@
 //! prices the incremental CSR rebuild itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use xtrapulp::{try_pulp_partition, try_pulp_partition_from, PartitionParams};
+use xtrapulp::{try_pulp_partition, PartitionParams, PulpPartitioner, WarmStartPartitioner};
 use xtrapulp_bench::scaled;
 use xtrapulp_dynamic::{seed_from_previous, DynamicGraph, UpdateBatch};
 use xtrapulp_gen::{generate_stream, GraphConfig, GraphKind, StreamKind, UpdateStreamConfig};
@@ -58,7 +58,11 @@ fn bench_dynamic(c: &mut Criterion) {
         let mutated = graph.csr().clone();
 
         group.bench_function(format!("warm_after_{churn_pct}pct_churn"), |b| {
-            b.iter(|| try_pulp_partition_from(&mutated, &params, &seed).unwrap())
+            b.iter(|| {
+                PulpPartitioner
+                    .try_partition_from(&mutated, &params, &seed)
+                    .unwrap()
+            })
         });
         group.bench_function(format!("cold_after_{churn_pct}pct_churn"), |b| {
             b.iter(|| try_pulp_partition(&mutated, &params).unwrap())

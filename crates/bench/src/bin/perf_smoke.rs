@@ -11,13 +11,11 @@
 
 use std::time::Instant;
 
-use xtrapulp::{
-    try_pulp_partition_from_with_stats, try_pulp_partition_with_stats, PartitionParams, SweepMode,
-};
+use xtrapulp::{try_pulp_partition, try_pulp_run, PartitionParams, SweepMode};
 use xtrapulp_gen::{GraphConfig, GraphKind};
 
 const BASELINE_PATH: &str = "crates/bench/perf_baseline.json";
-/// Wall-time and work-counter regression tolerance.
+/// Work-counter regression tolerance (wall time is informational).
 const TOLERANCE: f64 = 2.0;
 
 struct Measurement {
@@ -52,25 +50,22 @@ fn measure() -> Measurement {
     };
 
     // Warm-up run so the first timed sample is not paying page faults.
-    let _ = try_pulp_partition_with_stats(&csr, &frontier).unwrap();
+    let _ = try_pulp_partition(&csr, &frontier).unwrap();
     // Median of three for the timed quantity.
     let mut times = Vec::new();
-    let mut stats = None;
-    let mut parts = Vec::new();
+    let mut cold = None;
     for _ in 0..3 {
         let t = Instant::now();
-        let (p, s) = try_pulp_partition_with_stats(&csr, &frontier).unwrap();
+        let result = try_pulp_run(&csr, &frontier, None, None).unwrap();
         times.push(t.elapsed().as_secs_f64());
-        stats = Some(s);
-        parts = p;
+        cold = Some(result);
     }
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let stats = stats.unwrap();
+    let cold = cold.unwrap();
 
-    let (_, full_stats) = try_pulp_partition_with_stats(&csr, &full).unwrap();
+    let full_cold = try_pulp_run(&csr, &full, None, None).unwrap();
     let touched: Vec<u64> = (0..16u64).collect();
-    let (_, warm_stats) =
-        try_pulp_partition_from_with_stats(&csr, &frontier, &parts, Some(&touched)).unwrap();
+    let warm = try_pulp_run(&csr, &frontier, Some(&cold.parts), Some(&touched)).unwrap();
 
     // Distributed loopback: the same graph through the 4-rank in-process
     // transport, so collective traffic pays the full Transport-trait
@@ -91,10 +86,10 @@ fn measure() -> Measurement {
 
     Measurement {
         cold_frontier_seconds: times[1],
-        cold_frontier_scored: stats.vertices_scored,
-        cold_frontier_sweeps: stats.sweeps,
-        cold_full_scored: full_stats.vertices_scored,
-        warm_touched_scored: warm_stats.vertices_scored,
+        cold_frontier_scored: cold.vertices_scored,
+        cold_frontier_sweeps: cold.lp_sweeps,
+        cold_full_scored: full_cold.vertices_scored,
+        warm_touched_scored: warm.vertices_scored,
         dist_loopback_seconds: dist_times[1],
         dist_loopback_frames: dist_frames,
     }
@@ -260,18 +255,18 @@ fn tracing_overhead_gate() -> bool {
         seed: 29,
         ..Default::default()
     };
-    let _ = try_pulp_partition_with_stats(&csr, &params).unwrap(); // warm-up
+    let _ = try_pulp_partition(&csr, &params).unwrap(); // warm-up
     let mut disabled = Vec::with_capacity(AB_PAIRS);
     let mut enabled = Vec::with_capacity(AB_PAIRS);
     for _ in 0..AB_PAIRS {
         xtrapulp_obs::set_enabled(false);
         let t = Instant::now();
-        let _ = try_pulp_partition_with_stats(&csr, &params).unwrap();
+        let _ = try_pulp_partition(&csr, &params).unwrap();
         disabled.push(t.elapsed().as_secs_f64());
 
         xtrapulp_obs::set_enabled(true);
         let t = Instant::now();
-        let _ = try_pulp_partition_with_stats(&csr, &params).unwrap();
+        let _ = try_pulp_partition(&csr, &params).unwrap();
         enabled.push(t.elapsed().as_secs_f64());
         // Throw away the accumulated events so the rings never skew later pairs.
         let _ = xtrapulp_obs::trace::drain();

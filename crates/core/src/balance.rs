@@ -41,6 +41,12 @@ pub struct StageCounter {
     pub iter_tot: usize,
 }
 
+/// Slack on the balance targets within which a partition counts as balanced: a warm
+/// start inside it skips the balance stages (`partitioner.rs`), and [`final_rebalance`]
+/// leaves it alone. A converged run routinely lands within rounding of the fractional
+/// target (e.g. 221 vertices against a target of 220.0), which is noise, not imbalance.
+pub(crate) const WARM_BALANCE_SLACK: f64 = 1.02;
+
 /// Global part sizes in vertices, computed collectively.
 pub fn global_vertex_counts(
     ctx: &RankCtx,
@@ -103,9 +109,17 @@ pub(crate) fn dist_neighbors(graph: &DistGraph) -> impl Fn(u32, &mut dyn FnMut(u
     }
 }
 
-/// Count `v`'s neighbours in part `x` and in `target` under the current labels.
+/// Count `v`'s neighbours in part `x` and in `target` under the current labels — the
+/// cheap recheck the apply phase runs instead of a full rescoring. Shared with the edge
+/// stage.
 #[inline]
-fn recount_two(graph: &DistGraph, v: u32, parts: &[i32], x: usize, target: usize) -> (f64, f64) {
+pub(crate) fn recount_two(
+    graph: &DistGraph,
+    v: u32,
+    parts: &[i32],
+    x: usize,
+    target: usize,
+) -> (f64, f64) {
     let mut s_x = 0.0f64;
     let mut s_t = 0.0f64;
     for &u in graph.neighbors(v as LocalId) {
@@ -186,11 +200,7 @@ impl SweepStage for DistVertexBalance<'_> {
             if self.estimate(x) > self.imb_v {
                 let p = self.size_v.len();
                 let spill_target = (0..p)
-                    .min_by(|&a, &b| {
-                        self.spill_estimate(a)
-                            .partial_cmp(&self.spill_estimate(b))
-                            .unwrap()
-                    })
+                    .min_by(|&a, &b| self.spill_estimate(a).total_cmp(&self.spill_estimate(b)))
                     .unwrap_or(x);
                 if spill_target != x && self.spill_estimate(spill_target) + 1.0 <= self.imb_v {
                     return spill_target as i32;
@@ -528,7 +538,7 @@ pub fn final_rebalance(
     // slack the warm-start eligibility check uses, then drains to the exact target.
     if size_v
         .iter()
-        .all(|&s| (s as f64) <= imb_v * crate::pulp::WARM_BALANCE_SLACK)
+        .all(|&s| (s as f64) <= imb_v * WARM_BALANCE_SLACK)
     {
         return;
     }

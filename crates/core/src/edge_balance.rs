@@ -26,7 +26,8 @@ use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::{DistGraph, LocalId};
 
 use crate::balance::{
-    dist_neighbors, global_arc_counts, global_cut_counts, global_vertex_counts, StageCounter,
+    dist_neighbors, global_arc_counts, global_cut_counts, global_vertex_counts, recount_two,
+    StageCounter,
 };
 use crate::exchange::{push_part_updates_marking, GhostNeighborMap, PartUpdate};
 use crate::params::PartitionParams;
@@ -34,22 +35,6 @@ use crate::sweep::{
     refine_budget, RefineConvergence, ScoreScratch, StageKind, SweepMode, SweepStage,
     SweepWorkspace, BALANCE_CHUNK, NO_MOVE, SWEEP_CHUNK,
 };
-
-/// Count `v`'s neighbours in part `x` and in `target` under the current labels.
-#[inline]
-fn recount_two(graph: &DistGraph, v: u32, parts: &[i32], x: usize, target: usize) -> (f64, f64) {
-    let mut s_x = 0.0f64;
-    let mut s_t = 0.0f64;
-    for &u in graph.neighbors(v as LocalId) {
-        let pu = parts[u as usize] as usize;
-        if pu == x {
-            s_x += 1.0;
-        } else if pu == target {
-            s_t += 1.0;
-        }
-    }
-    (s_x, s_t)
-}
 
 /// Shared mutable state of one edge-stage sweep: the three global size arrays, their
 /// local per-iteration changes and the two weight tables.

@@ -45,7 +45,11 @@
 //!   and gathers the result (failing with
 //!   [`PartitionError::IncompleteGather`](error::PartitionError::IncompleteGather) if any
 //!   vertex goes unclaimed); convenient for quality comparisons.
-//! * [`PulpPartitioner`] — the shared-memory PuLP baseline.
+//! * [`PulpPartitioner`] — the shared-memory PuLP baseline, run as the one-rank instance
+//!   of the XtraPuLP driver: on one rank the dynamic multiplier clamps to 1.0, so every
+//!   move is charged at live part sizes, which is exactly PuLP's synchronous update.
+//!   Each paper stage is therefore implemented once. [`try_pulp_run`] returns the full
+//!   [`PartitionResult`] of a cold or (touched-scoped) warm run.
 //! * [`RandomPartitioner`], [`VertexBlockPartitioner`], [`EdgeBlockPartitioner`] — the
 //!   naive baselines.
 //! * [`metrics::PartitionQuality`] — the paper's quality metrics.
@@ -89,12 +93,7 @@ pub use partitioner::{
     EdgeBlockPartitioner, PartitionResult, Partitioner, RandomPartitioner, VertexBlockPartitioner,
     WarmStartPartitioner, XtraPulpPartitioner,
 };
-pub use pulp::{
-    pulp_partition, try_pulp_partition, try_pulp_partition_from,
-    try_pulp_partition_from_with_stats, try_pulp_partition_from_with_stats_timed,
-    try_pulp_partition_from_with_sweeps, try_pulp_partition_with_stats,
-    try_pulp_partition_with_stats_timed, try_pulp_partition_with_sweeps, PulpPartitioner,
-};
+pub use pulp::{try_pulp_partition, try_pulp_run, PulpPartitioner};
 pub use sweep::{StageBreakdown, StageKind, SweepMode, SweepStats, SweepWorkspace};
 
 // Re-exported so downstream crates (analytics, spmv, bench) can name graph types without

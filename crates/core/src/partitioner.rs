@@ -5,7 +5,10 @@ use xtrapulp_comm::{PhaseTimer, RankCtx, Runtime};
 use xtrapulp_graph::distribution::splitmix64;
 use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, LocalId, UNASSIGNED};
 
-use crate::balance::{final_rebalance, vertex_balance, vertex_refine, StageCounter};
+use crate::balance::{
+    final_rebalance, global_arc_counts, global_vertex_counts, vertex_balance, vertex_refine,
+    StageCounter, WARM_BALANCE_SLACK,
+};
 use crate::baselines;
 use crate::edge_balance::{edge_balance, edge_refine};
 use crate::error::PartitionError;
@@ -165,21 +168,19 @@ pub fn try_xtrapulp_partition_from_touched(
         warm_seed(ctx, graph, params, initial_owned, &mut ws, &ghosts)
     });
     // Warm runs skip the (aggressively label-churning) balance passes when the seeded
-    // partition already satisfies both balance constraints — with the same slack as the
-    // serial path, since a converged run routinely lands within rounding of the
-    // fractional target (e.g. 221 vertices against a target of 220.0), which is noise,
-    // not imbalance. When the delta meaningfully overshot a target, the warm run falls
-    // back to the full cold stage schedule (balance needs several rounds to converge;
-    // one round overshoots), still skipping initialisation. Computed collectively, so
-    // every rank takes the same branch.
+    // partition already satisfies both balance constraints, up to `WARM_BALANCE_SLACK`.
+    // When the delta meaningfully overshot a target, the warm run falls back to the full
+    // cold stage schedule (balance needs several rounds to converge; one round
+    // overshoots), still skipping initialisation. Computed collectively, so every rank
+    // takes the same branch.
     let balance = {
         let p = params.num_parts;
-        let imb_v = params.target_max_vertices(graph.global_n()) * crate::pulp::WARM_BALANCE_SLACK;
-        let imb_e = params.target_max_arcs(2 * graph.global_m()) * crate::pulp::WARM_BALANCE_SLACK;
-        crate::balance::global_vertex_counts(ctx, graph, &parts, p)
+        let imb_v = params.target_max_vertices(graph.global_n()) * WARM_BALANCE_SLACK;
+        let imb_e = params.target_max_arcs(2 * graph.global_m()) * WARM_BALANCE_SLACK;
+        global_vertex_counts(ctx, graph, &parts, p)
             .iter()
             .any(|&s| s as f64 > imb_v)
-            || crate::balance::global_arc_counts(ctx, graph, &parts, p)
+            || global_arc_counts(ctx, graph, &parts, p)
                 .iter()
                 .any(|&s| s as f64 > imb_e)
     };

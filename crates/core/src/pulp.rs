@@ -2,38 +2,28 @@
 //!
 //! PuLP is the prior system XtraPuLP extends: a single-node, multi-constraint,
 //! multi-objective partitioner built from weighted label propagation. The paper's
-//! Cluster-1 comparisons (Table II, Figs. 3–4 and 6) all report PuLP numbers, so the
-//! reproduction ships a faithful shared-memory implementation: the same three stages as
-//! XtraPuLP, but with part sizes updated synchronously after every move (there is no
-//! distributed staleness, hence no dynamic multiplier).
+//! Cluster-1 comparisons (Table II, Figs. 3–4 and 6) all report PuLP numbers.
 //!
-//! All four stages run on the shared sweep engine in [`crate::sweep`]: refinement
-//! sweeps are frontier-driven (only vertices whose neighbourhood changed since the last
-//! sweep are rescored) and the per-sweep proposal phase is thread-parallel with
-//! deterministic two-phase chunk application, so results are bit-identical for every
-//! thread count. [`PartitionParams::sweep_mode`] selects the legacy full-sweep
-//! behaviour for baseline measurements.
+//! PuLP runs as the one-rank instance of the XtraPuLP driver. The only mechanism
+//! XtraPuLP adds to PuLP's stages is the dynamic multiplier that charges each rank's
+//! moves against stale part-size estimates ([`PartitionParams::multiplier`]). On one
+//! rank that multiplier clamps to exactly 1.0, so every move is charged at live counts —
+//! PuLP's synchronous update. Each paper stage (vertex balance/refine, edge
+//! balance/refine, plus initialisation and the final rebalance) is therefore written
+//! once, in [`crate::balance`], [`crate::edge_balance`] and [`crate::init`], and a PuLP
+//! call builds a one-rank [`DistGraph`] and runs [`try_xtrapulp_partition`] (cold) or
+//! [`try_xtrapulp_partition_from_touched`] (warm). [`PulpPartitioner`] is bit-identical
+//! to `XtraPulpPartitioner::new(1)`; it keeps its own name for the experiment tables.
 
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use xtrapulp_comm::PhaseTimer;
-use xtrapulp_graph::{Csr, GlobalId, UNASSIGNED};
+use xtrapulp_comm::Runtime;
+use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId};
 
 use crate::error::PartitionError;
-use crate::params::{InitStrategy, PartitionParams};
+use crate::params::PartitionParams;
 use crate::partitioner::{
-    greedy_seed_unassigned, validate_warm_start, Partitioner, WarmStartPartitioner,
+    try_xtrapulp_partition, try_xtrapulp_partition_from_touched, PartitionResult, Partitioner,
+    WarmStartPartitioner,
 };
-use crate::sweep::{
-    refine_budget, RefineConvergence, ScoreScratch, StageKind, SweepMode, SweepStage, SweepStats,
-    SweepWorkspace, BALANCE_CHUNK, NO_MOVE, SWEEP_CHUNK,
-};
-
-/// Slack applied to the balance targets when deciding whether a warm start needs the
-/// balance stages at all: within this factor, the seed counts as balanced (see
-/// `pulp_run` and the distributed equivalent in `partitioner.rs`).
-pub(crate) const WARM_BALANCE_SLACK: f64 = 1.02;
 
 /// The shared-memory PuLP partitioner.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,980 +44,69 @@ impl Partitioner for PulpPartitioner {
 }
 
 impl WarmStartPartitioner for PulpPartitioner {
+    /// Warm-started run without delta information: the refinement frontier is seeded
+    /// from every vertex (see [`try_pulp_run`] for the touched-scoped variant).
     fn try_partition_from(
         &self,
         csr: &Csr,
         params: &PartitionParams,
         initial: &[i32],
     ) -> Result<Vec<i32>, PartitionError> {
-        try_pulp_partition_from(csr, params, initial)
+        try_pulp_run(csr, params, Some(initial), None).map(|result| result.parts)
     }
 }
 
 /// Run the PuLP-MM algorithm on an in-memory graph, rejecting malformed parameters with
 /// a typed error.
 pub fn try_pulp_partition(csr: &Csr, params: &PartitionParams) -> Result<Vec<i32>, PartitionError> {
-    try_pulp_partition_with_stats(csr, params).map(|(parts, _)| parts)
+    try_pulp_run(csr, params, None, None).map(|result| result.parts)
 }
 
-/// Run the PuLP-MM algorithm on an in-memory graph.
+/// Full-accounting PuLP run, cold or warm: the whole [`PartitionResult`] — part vector,
+/// sweep and scored-vertex counts, per-stage breakdown, phase timings and quality.
 ///
-/// # Panics
+/// With `initial`, the run is warm-started from that part vector: `initial[v]` is the
+/// seed part of vertex `v`, or [`UNASSIGNED`](xtrapulp_graph::UNASSIGNED) (`-1`) for
+/// vertices without one (newly added ones), which adopt the majority part of their
+/// assigned neighbours. When the seed still meets both balance targets only refinement
+/// runs, otherwise the full cold stage schedule runs (still skipping initialisation).
+/// `touched`, when given, lists the vertices the mutation delta touched (endpoints of
+/// inserted/deleted edges, added vertices); the refinement frontier is then seeded from
+/// them plus their one-hop neighbourhoods, so a small delta scores only its own region.
+/// Without it the frontier covers every vertex. Cold runs ignore `touched`.
 ///
-/// Panics on invalid [`PartitionParams`]; request-path callers should prefer
-/// [`try_pulp_partition`].
-pub fn pulp_partition(csr: &Csr, params: &PartitionParams) -> Vec<i32> {
-    match try_pulp_partition(csr, params) {
-        Ok(parts) => parts,
-        Err(e) => panic!("pulp_partition: {e}"),
-    }
-}
-
-/// Run the PuLP-MM algorithm warm-started from a previous part vector, e.g. the result
-/// of the last epoch on a graph that has since mutated.
-///
-/// `initial[v]` is the seed part of vertex `v`, or [`UNASSIGNED`] (`-1`) for vertices
-/// that have no prior assignment (newly added ones); those are assigned greedily to the
-/// majority part among their already-assigned neighbours (least-loaded part as the tie
-/// break and fallback). When the seed still satisfies both balance constraints, only
-/// refinement runs — frontier-seeded from the unassigned vertices plus their one-hop
-/// neighbourhoods and stopping as soon as the frontier empties; otherwise the full cold
-/// stage schedule runs (still skipping initialisation).
-pub fn try_pulp_partition_from(
+/// On one rank under the block distribution local ids are global ids and there are no
+/// ghosts, so `parts` is indexed by vertex id.
+pub fn try_pulp_run(
     csr: &Csr,
     params: &PartitionParams,
-    initial: &[i32],
-) -> Result<Vec<i32>, PartitionError> {
-    try_pulp_partition_from_with_stats(csr, params, initial, None).map(|(parts, _)| parts)
-}
-
-/// [`try_pulp_partition_from`] variant that also reports the number of
-/// label-propagation sweeps executed, for warm-vs-cold accounting.
-pub fn try_pulp_partition_from_with_sweeps(
-    csr: &Csr,
-    params: &PartitionParams,
-    initial: &[i32],
-) -> Result<(Vec<i32>, u64), PartitionError> {
-    try_pulp_partition_from_with_stats(csr, params, initial, None)
-        .map(|(parts, stats)| (parts, stats.sweeps))
-}
-
-/// [`try_pulp_partition`] variant that also reports the number of label-propagation
-/// sweeps executed.
-pub fn try_pulp_partition_with_sweeps(
-    csr: &Csr,
-    params: &PartitionParams,
-) -> Result<(Vec<i32>, u64), PartitionError> {
-    try_pulp_partition_with_stats(csr, params).map(|(parts, stats)| (parts, stats.sweeps))
-}
-
-/// Full-accounting cold run: the part vector plus the engine's [`SweepStats`]
-/// (sweeps, vertices scored, moves).
-pub fn try_pulp_partition_with_stats(
-    csr: &Csr,
-    params: &PartitionParams,
-) -> Result<(Vec<i32>, SweepStats), PartitionError> {
-    try_pulp_partition_with_stats_timed(csr, params).map(|(parts, stats, _)| (parts, stats))
-}
-
-/// [`try_pulp_partition_with_stats`] variant that also reports the per-stage sweep
-/// wall-clock as a [`PhaseTimer`] with `sweep_refine`/`sweep_balance`/`sweep_churn`
-/// phases — the serial counterpart of the phases distributed runs put in
-/// `PartitionResult::timings`.
-pub fn try_pulp_partition_with_stats_timed(
-    csr: &Csr,
-    params: &PartitionParams,
-) -> Result<(Vec<i32>, SweepStats, PhaseTimer), PartitionError> {
-    params.validate()?;
-    Ok(pulp_run(csr, params, None))
-}
-
-/// Full-accounting warm run. `touched`, when given, lists the vertices the mutation
-/// delta touched (endpoints of inserted/deleted edges, added vertices); the refinement
-/// frontier is seeded from them plus their one-hop neighbourhoods, so an epoch with a
-/// small delta scores only the delta region instead of the whole graph. Without it the
-/// frontier is seeded conservatively from every vertex.
-pub fn try_pulp_partition_from_with_stats(
-    csr: &Csr,
-    params: &PartitionParams,
-    initial: &[i32],
+    initial: Option<&[i32]>,
     touched: Option<&[GlobalId]>,
-) -> Result<(Vec<i32>, SweepStats), PartitionError> {
-    try_pulp_partition_from_with_stats_timed(csr, params, initial, touched)
-        .map(|(parts, stats, _)| (parts, stats))
-}
-
-/// [`try_pulp_partition_from_with_stats`] variant that also reports the per-stage
-/// sweep wall-clock (see [`try_pulp_partition_with_stats_timed`]).
-pub fn try_pulp_partition_from_with_stats_timed(
-    csr: &Csr,
-    params: &PartitionParams,
-    initial: &[i32],
-    touched: Option<&[GlobalId]>,
-) -> Result<(Vec<i32>, SweepStats, PhaseTimer), PartitionError> {
-    params.validate()?;
-    validate_warm_start(csr.num_vertices(), params.num_parts, initial)?;
-    Ok(pulp_run(csr, params, Some((initial, touched))))
-}
-
-/// Shared cold/warm driver; returns the part vector and the sweep statistics
-/// (refinement sweeps stop early on convergence, so these are measurements, not a
-/// schedule). `initial`, when given, must already be validated by
-/// [`validate_warm_start`].
-fn pulp_run(
-    csr: &Csr,
-    params: &PartitionParams,
-    warm: Option<(&[i32], Option<&[GlobalId]>)>,
-) -> (Vec<i32>, SweepStats, PhaseTimer) {
-    let n = csr.num_vertices();
-    if n == 0 {
-        return (Vec::new(), SweepStats::default(), PhaseTimer::new());
-    }
-    let p = params.num_parts;
-    if p == 1 {
-        return (vec![0; n], SweepStats::default(), PhaseTimer::new());
-    }
-    let frontier = params.sweep_mode == SweepMode::Frontier;
-    let mut ws = SweepWorkspace::new(params.sweep_threads);
-    ws.begin_run(n, p);
-
-    // Warm runs come in two regimes. When the seeded partition already satisfies both
-    // balance constraints (the common case after a small delta), the balance passes are
-    // skipped entirely: they move vertices aggressively by design (refinement is what
-    // cleans up after them), so running them on an already-balanced seed would churn
-    // labels — and migrate vertices — for nothing; only refinement runs, seeded from
-    // the delta-touched neighbourhood and stopping on an empty frontier. When a delta
-    // *did* push a part meaningfully past its target, the warm run falls back to the
-    // full cold stage schedule (balance needs several balance/refine rounds to
-    // converge; a single round overshoots), still skipping initialisation. The check
-    // carries a small slack because a converged run routinely lands within rounding of
-    // the fractional target (e.g. 221 vertices against a target of 220.0), which is
-    // noise, not imbalance.
-    let (mut parts, outer, balance) = match warm {
-        None => (init(csr, params), params.outer_iters, true),
-        Some((initial, touched)) => {
-            let mut parts = initial.to_vec();
-            let unassigned: Vec<GlobalId> = (0..n as u64)
-                .filter(|&v| parts[v as usize] == UNASSIGNED)
-                .collect();
-            greedy_seed_unassigned(csr, &mut parts, p);
-            let imb_v = params.target_max_vertices(n as u64) * WARM_BALANCE_SLACK;
-            let imb_e = params.target_max_arcs(csr.num_arcs()) * WARM_BALANCE_SLACK;
-            fill_part_vertex_counts(&parts, &mut ws.counters.size_v);
-            let over_v = ws.counters.size_v.iter().any(|&s| s as f64 > imb_v);
-            fill_part_arc_counts(csr, &parts, &mut ws.counters.size_e);
-            let needs_balance = over_v || ws.counters.size_e.iter().any(|&s| s as f64 > imb_e);
-            if frontier && !needs_balance {
-                // Refine-only warm run: seed the frontier from the touched region (the
-                // delta's endpoints and every vertex that arrived unassigned) plus its
-                // one-hop neighbourhood. Without any touched information the seed is
-                // conservative: everything.
-                if touched.is_none() && unassigned.is_empty() {
-                    ws.engine.frontier.seed_all(n);
-                } else {
-                    let mut seed_one = |g: GlobalId| {
-                        ws.engine.frontier.mark(g as u32);
-                        for &u in csr.neighbors(g) {
-                            ws.engine.frontier.mark(u as u32);
-                        }
-                    };
-                    for &g in touched.unwrap_or(&[]) {
-                        if g < n as u64 {
-                            seed_one(g);
-                        }
-                    }
-                    for &g in &unassigned {
-                        seed_one(g);
-                    }
-                }
-            }
-            let outer = if needs_balance {
-                params.outer_iters
-            } else {
-                params.warm_outer_iters
-            };
-            (parts, outer, needs_balance)
-        }
-    };
-    if frontier && (balance || warm.is_none()) {
-        // Cold runs (and warm runs that fell back to the cold schedule) start with
-        // every vertex active: initialisation / the overshooting delta changed
-        // everything worth rescoring.
-        ws.engine.frontier.seed_all(n);
-    }
-
-    if balance {
-        // The cold schedule: alternating balance (full sweeps) and refinement
-        // (frontier sweeps with a verifying full polish) rounds per stage, exactly as
-        // in the papers.
-        for _ in 0..outer {
-            vertex_balance(csr, &mut parts, params, &mut ws);
-            vertex_refine(csr, &mut parts, params, &mut ws, RefineConvergence::Polish);
-        }
-        if params.edge_balance_stage {
-            for _ in 0..outer {
-                edge_balance(csr, &mut parts, params, &mut ws);
-                edge_refine(csr, &mut parts, params, &mut ws, RefineConvergence::Polish);
+) -> Result<PartitionResult, PartitionError> {
+    let mut per_rank = Runtime::run(1, |ctx| {
+        let graph = DistGraph::from_csr(ctx, Distribution::Block, csr);
+        match initial {
+            None => try_xtrapulp_partition(ctx, &graph, params),
+            Some(initial) => {
+                try_xtrapulp_partition_from_touched(ctx, &graph, params, initial, touched)
             }
         }
-    } else if outer > 0 {
-        // Refine-only warm run. Frontier mode stops on convergence (empty frontier)
-        // instead of a fixed round count, and never widens beyond the delta
-        // neighbourhood (the seed is the previous epoch's already-polished partition);
-        // full mode keeps the legacy fixed schedule.
-        if frontier {
-            // Extra convergence rounds only for delta-scoped warm runs; a blind warm
-            // start (no touched set) keeps the legacy round count.
-            let max_rounds = match warm {
-                Some((_, Some(_))) => outer.max(params.outer_iters),
-                _ => outer,
-            };
-            // Each round runs one refinement stage: with the edge stage enabled that
-            // is `edge_refine`, whose admissibility (vertex, edge and cut caps) is a
-            // superset of the vertex stage's and whose score rule is identical —
-            // running `vertex_refine` first would consume the frontier to convergence
-            // and leave the edge-capped pass nothing to check.
-            for _ in 0..max_rounds {
-                if ws.engine.frontier.active_len() == 0 {
-                    break;
-                }
-                if params.edge_balance_stage {
-                    edge_refine(
-                        csr,
-                        &mut parts,
-                        params,
-                        &mut ws,
-                        RefineConvergence::FrontierOnly,
-                    );
-                } else {
-                    vertex_refine(
-                        csr,
-                        &mut parts,
-                        params,
-                        &mut ws,
-                        RefineConvergence::FrontierOnly,
-                    );
-                }
-            }
-        } else {
-            for _ in 0..outer {
-                vertex_refine(
-                    csr,
-                    &mut parts,
-                    params,
-                    &mut ws,
-                    RefineConvergence::FrontierOnly,
-                );
-            }
-            if params.edge_balance_stage {
-                for _ in 0..outer {
-                    edge_refine(
-                        csr,
-                        &mut parts,
-                        params,
-                        &mut ws,
-                        RefineConvergence::FrontierOnly,
-                    );
-                }
-            }
-        }
-    }
-    let sweep_timings = ws.engine.stage_timings();
-    (parts, ws.engine.stats, sweep_timings)
-}
-
-fn init(csr: &Csr, params: &PartitionParams) -> Vec<i32> {
-    let n = csr.num_vertices() as u64;
-    let p = params.num_parts;
-    let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x50_4C_50);
-    match params.init {
-        InitStrategy::Random => (0..n).map(|_| rng.gen_range(0..p) as i32).collect(),
-        InitStrategy::VertexBlock => (0..n)
-            .map(|v| ((v as u128 * p as u128 / n.max(1) as u128) as u64).min(p as u64 - 1) as i32)
-            .collect(),
-        InitStrategy::BfsGrow => {
-            let mut parts = vec![UNASSIGNED; n as usize];
-            // Select p unique roots.
-            let mut roots: Vec<GlobalId> = if (p as u64) >= n {
-                (0..n).collect()
-            } else {
-                let mut all: Vec<GlobalId> = (0..n).collect();
-                all.shuffle(&mut rng);
-                all.truncate(p);
-                all
-            };
-            roots.sort_unstable();
-            for (i, &r) in roots.iter().enumerate() {
-                parts[r as usize] = (i % p) as i32;
-            }
-            // Grow parts outward, adopting a random neighbouring part.
-            let mut frontier: Vec<GlobalId> = roots;
-            while !frontier.is_empty() {
-                let mut next = Vec::new();
-                for &v in &frontier {
-                    let pv = parts[v as usize];
-                    for &u in csr.neighbors(v) {
-                        if parts[u as usize] == UNASSIGNED {
-                            parts[u as usize] = pv;
-                            next.push(u);
-                        }
-                    }
-                }
-                next.shuffle(&mut rng);
-                frontier = next;
-            }
-            // Random fallback for untouched vertices.
-            for part in parts.iter_mut() {
-                if *part == UNASSIGNED {
-                    *part = rng.gen_range(0..p) as i32;
-                }
-            }
-            parts
-        }
-    }
-}
-
-/// Fill `counts` (one slot per part) with part sizes in vertices.
-fn fill_part_vertex_counts(parts: &[i32], counts: &mut [i64]) {
-    counts.iter_mut().for_each(|c| *c = 0);
-    for &x in parts {
-        counts[x as usize] += 1;
-    }
-}
-
-/// Fill `counts` with part sizes in arcs (vertex degree sums).
-fn fill_part_arc_counts(csr: &Csr, parts: &[i32], counts: &mut [i64]) {
-    counts.iter_mut().for_each(|c| *c = 0);
-    for v in 0..csr.num_vertices() as u64 {
-        counts[parts[v as usize] as usize] += csr.degree(v) as i64;
-    }
-}
-
-/// Fill `counts` with per-part cut arc counts.
-fn fill_part_cut_counts(csr: &Csr, parts: &[i32], counts: &mut [i64]) {
-    counts.iter_mut().for_each(|c| *c = 0);
-    for v in 0..csr.num_vertices() as u64 {
-        let pv = parts[v as usize];
-        for &u in csr.neighbors(v) {
-            if parts[u as usize] != pv {
-                counts[pv as usize] += 1;
-            }
-        }
-    }
-}
-
-/// Enqueue-neighbours closure over a serial CSR for the sweep engine's frontier.
-fn csr_neighbors(csr: &Csr) -> impl Fn(u32, &mut dyn FnMut(u32)) + '_ {
-    move |v, mark| {
-        for &u in csr.neighbors(v as u64) {
-            mark(u as u32);
-        }
-    }
-}
-
-/// Count `v`'s neighbours in its own part `x` and in `target` under the current labels
-/// — the cheap recheck the apply phase runs instead of a full rescoring.
-#[inline]
-fn recount_two(csr: &Csr, v: u32, parts: &[i32], x: usize, target: usize) -> (f64, f64) {
-    let mut s_x = 0.0f64;
-    let mut s_t = 0.0f64;
-    for &u in csr.neighbors(v as u64) {
-        let pu = parts[u as usize] as usize;
-        if pu == x {
-            s_x += 1.0;
-        } else if pu == target {
-            s_t += 1.0;
-        }
-    }
-    (s_x, s_t)
-}
-
-/// The vertex balancing stage: weighted label propagation towards underweight parts.
-struct SerialVertexBalance<'a> {
-    csr: &'a Csr,
-    size_v: &'a mut [i64],
-    imb_v: f64,
-    max_v: f64,
-}
-
-impl SerialVertexBalance<'_> {
-    #[inline]
-    fn weight(&self, i: usize) -> f64 {
-        (self.imb_v / (self.size_v[i] as f64).max(1.0) - 1.0).max(0.0)
-    }
-}
-
-impl SweepStage for SerialVertexBalance<'_> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
-        let x = parts[v as usize] as usize;
-        scratch.clear();
-        for &u in self.csr.neighbors(v as u64) {
-            scratch.add(parts[u as usize] as usize, self.csr.degree(u) as f64);
-        }
-        let mut best = x;
-        let mut best_score = 0.0f64;
-        for &i in scratch.touched() {
-            if (self.size_v[i] as f64) + 1.0 > self.max_v {
-                continue;
-            }
-            let score = scratch.get(i) * self.weight(i);
-            if score > best_score {
-                best_score = score;
-                best = i;
-            }
-        }
-        if best != x && best_score > 0.0 {
-            best as i32
-        } else {
-            NO_MOVE
-        }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        // Recheck against the live counters: the target must still be admissible and
-        // still attractive (underweight), and v must still have a neighbour there.
-        if (self.size_v[target] as f64) + 1.0 > self.max_v || self.weight(target) <= 0.0 {
-            return false;
-        }
-        let (_, s_t) = recount_two(self.csr, v, parts, x, target);
-        if s_t <= 0.0 {
-            return false;
-        }
-        self.size_v[x] -= 1;
-        self.size_v[target] += 1;
-        true
-    }
-}
-
-fn vertex_balance(csr: &Csr, parts: &mut [i32], params: &PartitionParams, ws: &mut SweepWorkspace) {
-    let n = csr.num_vertices();
-    let imb_v = params.target_max_vertices(n as u64);
-    let frontier = params.sweep_mode == SweepMode::Frontier;
-    let SweepWorkspace {
-        engine, counters, ..
-    } = ws;
-    fill_part_vertex_counts(parts, &mut counters.size_v);
-    // The stage exists to meet the vertex-balance constraint; once it holds, its label
-    // churn towards momentarily-underweight parts is pure perturbation. Perturbation is
-    // only *useful* when refinement has converged (empty frontier) — it is what lets
-    // the next refinement round escape the local optimum — so: balanced + refinement
-    // still active → skip the pass entirely; balanced + refinement converged → one
-    // churn sweep; unbalanced → the full schedule. Gated on frontier mode so `Full`
-    // stays a faithful legacy baseline.
-    let balanced = counters.size_v.iter().all(|&s| (s as f64) <= imb_v);
-    let sweep_cap = if frontier && balanced {
-        if engine.frontier.active_len() > 0 {
-            0
-        } else {
-            1
-        }
-    } else {
-        params.balance_iters
-    };
-    // A balance pass run while the constraint already holds is pure perturbation;
-    // book its sweeps as churn so reports can attribute the work.
-    engine.set_stage(if balanced {
-        StageKind::Churn
-    } else {
-        StageKind::Balance
     });
-    for _ in 0..sweep_cap {
-        let max_v = counters
-            .size_v
-            .iter()
-            .map(|&s| s as f64)
-            .fold(imb_v, f64::max);
-        let mut stage = SerialVertexBalance {
-            csr,
-            size_v: &mut counters.size_v,
-            imb_v,
-            max_v,
-        };
-        let moves = engine.sweep(
-            n,
-            parts,
-            false,
-            BALANCE_CHUNK,
-            &mut stage,
-            csr_neighbors(csr),
-            |_, _| {},
-        );
-        // A move-free balance sweep leaves sizes (hence weights and admissibility)
-        // untouched, so every remaining sweep of this pass would be identical: skip
-        // them. Gated on frontier mode so `Full` stays a faithful legacy baseline.
-        if frontier && moves == 0 {
-            break;
-        }
-    }
-}
-
-/// The vertex refinement stage: constrained label propagation minimising the cut.
-struct SerialVertexRefine<'a> {
-    csr: &'a Csr,
-    size_v: &'a mut [i64],
-    max_v: f64,
-}
-
-impl SweepStage for SerialVertexRefine<'_> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
-        let x = parts[v as usize] as usize;
-        scratch.clear();
-        for &u in self.csr.neighbors(v as u64) {
-            scratch.add(parts[u as usize] as usize, 1.0);
-        }
-        let mut best = x;
-        let mut best_score = scratch.get(x);
-        for &i in scratch.touched() {
-            if i == x || (self.size_v[i] as f64) + 1.0 > self.max_v {
-                continue;
-            }
-            if scratch.get(i) > best_score {
-                best_score = scratch.get(i);
-                best = i;
-            }
-        }
-        if best != x {
-            best as i32
-        } else {
-            NO_MOVE
-        }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        if (self.size_v[target] as f64) + 1.0 > self.max_v {
-            return false;
-        }
-        // The move must still strictly reduce the cut under the live labels (earlier
-        // applications in this chunk may have changed the neighbourhood).
-        let (s_x, s_t) = recount_two(self.csr, v, parts, x, target);
-        if s_t <= s_x {
-            return false;
-        }
-        self.size_v[x] -= 1;
-        self.size_v[target] += 1;
-        true
-    }
-}
-
-fn vertex_refine(
-    csr: &Csr,
-    parts: &mut [i32],
-    params: &PartitionParams,
-    ws: &mut SweepWorkspace,
-    convergence: RefineConvergence,
-) {
-    let n = csr.num_vertices();
-    let imb_v = params.target_max_vertices(n as u64);
-    let frontier_mode = params.sweep_mode == SweepMode::Frontier;
-    let SweepWorkspace {
-        engine, counters, ..
-    } = ws;
-    // A converged frontier-only pass does no work at all — skip the O(n) counter
-    // rebuild too.
-    if frontier_mode
-        && convergence == RefineConvergence::FrontierOnly
-        && engine.frontier.active_len() == 0
-    {
-        return;
-    }
-    fill_part_vertex_counts(parts, &mut counters.size_v);
-    engine.set_stage(StageKind::Refine);
-    // A pass inheriting a large frontier (the previous round did not converge — heavy
-    // churn classes) drops it and falls straight to the polish full sweep, which
-    // restores the legacy schedule's per-round global coverage.
-    if frontier_mode
-        && convergence == RefineConvergence::Polish
-        && engine.frontier.active_len() > n / 8
-    {
-        engine.frontier.clear();
-    }
-    let budget = refine_budget(params.refine_iters, params.sweep_mode);
-    let mut used = 0u64;
-    loop {
-        if used >= budget {
-            break;
-        }
-        // Polish on an empty frontier: a full sweep verifies the fixed point (part
-        // sizes change as vertices move, so a vertex whose neighbourhood never changed
-        // can still become movable; the frontier alone cannot see that). A move-free
-        // polish ends the pass.
-        let use_frontier = frontier_mode && engine.frontier.active_len() > 0;
-        if frontier_mode && !use_frontier && convergence == RefineConvergence::FrontierOnly {
-            break;
-        }
-        let max_v = counters
-            .size_v
-            .iter()
-            .map(|&s| s as f64)
-            .fold(imb_v, f64::max);
-        let mut stage = SerialVertexRefine {
-            csr,
-            size_v: &mut counters.size_v,
-            max_v,
-        };
-        let moves = engine.sweep(
-            n,
-            parts,
-            use_frontier,
-            SWEEP_CHUNK,
-            &mut stage,
-            csr_neighbors(csr),
-            |_, _| {},
-        );
-        used += 1;
-        if moves == 0 && (!use_frontier || convergence == RefineConvergence::FrontierOnly) {
-            break;
-        }
-    }
-}
-
-/// The edge balancing stage: weighted label propagation driven by per-part edge and cut
-/// loads.
-struct SerialEdgeBalance<'a> {
-    csr: &'a Csr,
-    size_v: &'a mut [i64],
-    size_e: &'a mut [i64],
-    size_c: &'a mut [i64],
-    imb_e: f64,
-    max_v: f64,
-    max_e: f64,
-    max_c: f64,
-    r_e: f64,
-    r_c: f64,
-}
-
-impl SerialEdgeBalance<'_> {
-    #[inline]
-    fn weight_e(&self, i: usize) -> f64 {
-        (self.imb_e / (self.size_e[i] as f64).max(1.0) - 1.0).max(0.0)
-    }
-
-    #[inline]
-    fn weight_c(&self, i: usize) -> f64 {
-        (self.max_c / (self.size_c[i] as f64).max(1.0) - 1.0).max(0.0)
-    }
-}
-
-impl SweepStage for SerialEdgeBalance<'_> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
-        let x = parts[v as usize] as usize;
-        let deg = self.csr.degree(v as u64) as f64;
-        scratch.clear();
-        for &u in self.csr.neighbors(v as u64) {
-            scratch.add(parts[u as usize] as usize, 1.0);
-        }
-        let mut best = x;
-        let mut best_score = 0.0f64;
-        for &i in scratch.touched() {
-            if i == x
-                || (self.size_v[i] as f64) + 1.0 > self.max_v
-                || (self.size_e[i] as f64) + deg > self.max_e
-            {
-                continue;
-            }
-            let score =
-                scratch.get(i) * (self.r_e * self.weight_e(i) + self.r_c * self.weight_c(i));
-            if score > best_score {
-                best_score = score;
-                best = i;
-            }
-        }
-        if best != x && best_score > 0.0 {
-            best as i32
-        } else {
-            NO_MOVE
-        }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        let deg = self.csr.degree(v as u64) as f64;
-        if (self.size_v[target] as f64) + 1.0 > self.max_v
-            || (self.size_e[target] as f64) + deg > self.max_e
-            || self.r_e * self.weight_e(target) + self.r_c * self.weight_c(target) <= 0.0
-        {
-            return false;
-        }
-        let (s_x, s_t) = recount_two(self.csr, v, parts, x, target);
-        if s_t <= 0.0 {
-            return false;
-        }
-        let cut_from_x = deg as i64 - s_x as i64;
-        let cut_from_t = deg as i64 - s_t as i64;
-        self.size_v[x] -= 1;
-        self.size_v[target] += 1;
-        self.size_e[x] -= deg as i64;
-        self.size_e[target] += deg as i64;
-        self.size_c[x] = (self.size_c[x] - cut_from_x).max(0);
-        self.size_c[target] += cut_from_t;
-        true
-    }
-}
-
-fn edge_balance(csr: &Csr, parts: &mut [i32], params: &PartitionParams, ws: &mut SweepWorkspace) {
-    let n = csr.num_vertices();
-    let imb_v = params.target_max_vertices(n as u64);
-    let imb_e = params.target_max_arcs(csr.num_arcs());
-    let frontier = params.sweep_mode == SweepMode::Frontier;
-    let SweepWorkspace {
-        engine,
-        counters,
-        edge_balance_last_max,
-        edge_balance_stalled,
-    } = ws;
-    fill_part_vertex_counts(parts, &mut counters.size_v);
-    fill_part_arc_counts(csr, parts, &mut counters.size_e);
-    fill_part_cut_counts(csr, parts, &mut counters.size_c);
-    let mut r_e = 1.0f64;
-    let mut r_c = 1.0f64;
-    // Same perturbation policy as the vertex stage, against the edge target — skip the
-    // pass while refinement is still active, one churn sweep at a refinement fixed
-    // point, the full schedule while the edge constraint is unmet — plus stall
-    // detection: when the target is unreachable (hub-dominated skew), stop paying for
-    // balance churn that is not improving the maximum arc load.
-    let cur_max_e = counters
-        .size_e
-        .iter()
-        .map(|&s| s as f64)
-        .fold(0.0, f64::max);
-    let edge_balanced = counters.size_e.iter().all(|&s| (s as f64) <= imb_e);
-    if frontier && !edge_balanced {
-        if let Some(prev) = *edge_balance_last_max {
-            if cur_max_e >= prev * 0.99 {
-                *edge_balance_stalled = true;
-            }
-        }
-        *edge_balance_last_max = Some(cur_max_e);
-    }
-    let sweep_cap = if frontier && *edge_balance_stalled {
-        // Target out of reach: one churn sweep per pass keeps feeding refinement.
-        1
-    } else if frontier && edge_balanced {
-        if engine.frontier.active_len() > 0 {
-            0
-        } else {
-            1
-        }
-    } else {
-        params.balance_iters
-    };
-    // Balanced (or stalled-at-unreachable) passes only perturb; book them as churn.
-    engine.set_stage(if edge_balanced || *edge_balance_stalled {
-        StageKind::Churn
-    } else {
-        StageKind::Balance
-    });
-    for _ in 0..sweep_cap {
-        let max_v = counters
-            .size_v
-            .iter()
-            .map(|&s| s as f64)
-            .fold(imb_v, f64::max);
-        let max_e = counters
-            .size_e
-            .iter()
-            .map(|&s| s as f64)
-            .fold(imb_e, f64::max);
-        let max_c = counters
-            .size_c
-            .iter()
-            .map(|&s| s as f64)
-            .fold(1.0, f64::max);
-        if counters.size_e.iter().all(|&s| (s as f64) <= imb_e) {
-            r_c += 1.0;
-        } else {
-            r_e += 1.0;
-        }
-        let mut stage = SerialEdgeBalance {
-            csr,
-            size_v: &mut counters.size_v,
-            size_e: &mut counters.size_e,
-            size_c: &mut counters.size_c,
-            imb_e,
-            max_v,
-            max_e,
-            max_c,
-            r_e,
-            r_c,
-        };
-        let moves = engine.sweep(
-            n,
-            parts,
-            false,
-            BALANCE_CHUNK,
-            &mut stage,
-            csr_neighbors(csr),
-            |_, _| {},
-        );
-        // Unlike the vertex stage, the cut-balance weight drifts with `max_c`, so only
-        // a move-free sweep is provably stable; skip the rest then.
-        if frontier && moves == 0 {
-            break;
-        }
-    }
-}
-
-/// The edge-stage refinement: constrained label propagation that reduces the cut while
-/// never increasing the maximum vertex, edge or cut load of any part.
-struct SerialEdgeRefine<'a> {
-    csr: &'a Csr,
-    size_v: &'a mut [i64],
-    size_e: &'a mut [i64],
-    size_c: &'a mut [i64],
-    max_v: f64,
-    max_e: f64,
-    max_c: f64,
-}
-
-impl SweepStage for SerialEdgeRefine<'_> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
-        let x = parts[v as usize] as usize;
-        let deg = self.csr.degree(v as u64) as f64;
-        scratch.clear();
-        for &u in self.csr.neighbors(v as u64) {
-            scratch.add(parts[u as usize] as usize, 1.0);
-        }
-        let mut best = x;
-        let mut best_score = scratch.get(x);
-        for &i in scratch.touched() {
-            if i == x
-                || (self.size_v[i] as f64) + 1.0 > self.max_v
-                || (self.size_e[i] as f64) + deg > self.max_e
-                || (self.size_c[i] as f64) + (deg - scratch.get(i)) > self.max_c
-            {
-                continue;
-            }
-            if scratch.get(i) > best_score {
-                best_score = scratch.get(i);
-                best = i;
-            }
-        }
-        if best != x {
-            best as i32
-        } else {
-            NO_MOVE
-        }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        let deg = self.csr.degree(v as u64) as f64;
-        let (s_x, s_t) = recount_two(self.csr, v, parts, x, target);
-        if s_t <= s_x
-            || (self.size_v[target] as f64) + 1.0 > self.max_v
-            || (self.size_e[target] as f64) + deg > self.max_e
-            || (self.size_c[target] as f64) + (deg - s_t) > self.max_c
-        {
-            return false;
-        }
-        let cut_from_x = deg as i64 - s_x as i64;
-        let cut_from_t = deg as i64 - s_t as i64;
-        self.size_v[x] -= 1;
-        self.size_v[target] += 1;
-        self.size_e[x] -= deg as i64;
-        self.size_e[target] += deg as i64;
-        self.size_c[x] = (self.size_c[x] - cut_from_x).max(0);
-        self.size_c[target] += cut_from_t;
-        true
-    }
-}
-
-fn edge_refine(
-    csr: &Csr,
-    parts: &mut [i32],
-    params: &PartitionParams,
-    ws: &mut SweepWorkspace,
-    convergence: RefineConvergence,
-) {
-    let n = csr.num_vertices();
-    let imb_v = params.target_max_vertices(n as u64);
-    let imb_e = params.target_max_arcs(csr.num_arcs());
-    let frontier_mode = params.sweep_mode == SweepMode::Frontier;
-    let SweepWorkspace {
-        engine, counters, ..
-    } = ws;
-    // A converged frontier-only pass does no work at all — skip the O(n + m) counter
-    // rebuilds too.
-    if frontier_mode
-        && convergence == RefineConvergence::FrontierOnly
-        && engine.frontier.active_len() == 0
-    {
-        return;
-    }
-    fill_part_vertex_counts(parts, &mut counters.size_v);
-    fill_part_arc_counts(csr, parts, &mut counters.size_e);
-    fill_part_cut_counts(csr, parts, &mut counters.size_c);
-    engine.set_stage(StageKind::Refine);
-    // Large inherited frontier: drop it and fall to the polish full sweep, as in
-    // `vertex_refine`.
-    if frontier_mode
-        && convergence == RefineConvergence::Polish
-        && engine.frontier.active_len() > n / 8
-    {
-        engine.frontier.clear();
-    }
-    let budget = refine_budget(params.refine_iters, params.sweep_mode);
-    let mut used = 0u64;
-    loop {
-        if used >= budget {
-            break;
-        }
-        // Polish on an empty frontier: a full sweep verifies the fixed point (part
-        // sizes change as vertices move, so a vertex whose neighbourhood never changed
-        // can still become movable; the frontier alone cannot see that). A move-free
-        // polish ends the pass.
-        let use_frontier = frontier_mode && engine.frontier.active_len() > 0;
-        if frontier_mode && !use_frontier && convergence == RefineConvergence::FrontierOnly {
-            break;
-        }
-        let max_v = counters
-            .size_v
-            .iter()
-            .map(|&s| s as f64)
-            .fold(imb_v, f64::max);
-        let max_e = counters
-            .size_e
-            .iter()
-            .map(|&s| s as f64)
-            .fold(imb_e, f64::max);
-        let max_c = counters
-            .size_c
-            .iter()
-            .map(|&s| s as f64)
-            .fold(1.0, f64::max);
-        let mut stage = SerialEdgeRefine {
-            csr,
-            size_v: &mut counters.size_v,
-            size_e: &mut counters.size_e,
-            size_c: &mut counters.size_c,
-            max_v,
-            max_e,
-            max_c,
-        };
-        let moves = engine.sweep(
-            n,
-            parts,
-            use_frontier,
-            SWEEP_CHUNK,
-            &mut stage,
-            csr_neighbors(csr),
-            |_, _| {},
-        );
-        used += 1;
-        if moves == 0 && (!use_frontier || convergence == RefineConvergence::FrontierOnly) {
-            break;
-        }
-    }
+    // lint: panic-ok — `Runtime::run` returns one result per rank
+    per_rank
+        .pop()
+        .expect("a one-rank runtime returns one result")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::{is_valid_partition, PartitionQuality};
-    use crate::partitioner::RandomPartitioner;
-    use xtrapulp_graph::csr_from_edges;
+    use crate::params::InitStrategy;
+    use crate::partitioner::{RandomPartitioner, XtraPulpPartitioner};
+    use crate::sweep::SweepMode;
+    use xtrapulp_gen::{GraphConfig, GraphKind};
+    use xtrapulp_graph::{csr_from_edges, UNASSIGNED};
 
     fn grid_csr(w: u64, h: u64) -> Csr {
         let mut e = Vec::new();
@@ -1043,6 +122,10 @@ mod tests {
             }
         }
         csr_from_edges(w * h, &e)
+    }
+
+    fn run_cold(csr: &Csr, params: &PartitionParams) -> PartitionResult {
+        try_pulp_run(csr, params, None, None).unwrap()
     }
 
     #[test]
@@ -1083,10 +166,12 @@ mod tests {
     #[test]
     fn single_part_and_empty_graph_edge_cases() {
         let csr = grid_csr(4, 4);
-        let parts = pulp_partition(&csr, &PartitionParams::with_parts(1));
+        let parts = PulpPartitioner.partition(&csr, &PartitionParams::with_parts(1));
         assert!(parts.iter().all(|&p| p == 0));
         let empty = csr_from_edges(0, &[]);
-        assert!(pulp_partition(&empty, &PartitionParams::with_parts(4)).is_empty());
+        assert!(PulpPartitioner
+            .partition(&empty, &PartitionParams::with_parts(4))
+            .is_empty());
     }
 
     #[test]
@@ -1103,7 +188,7 @@ mod tests {
                 seed: 9,
                 ..Default::default()
             };
-            let parts = pulp_partition(&csr, &params);
+            let parts = PulpPartitioner.partition(&csr, &params);
             assert!(is_valid_partition(&parts, 5), "{init:?}");
             let q = PartitionQuality::evaluate(&csr, &parts, 5);
             assert!(q.vertex_imbalance < 1.4, "{init:?}: {}", q.vertex_imbalance);
@@ -1118,7 +203,10 @@ mod tests {
             seed: 123,
             ..Default::default()
         };
-        assert_eq!(pulp_partition(&csr, &params), pulp_partition(&csr, &params));
+        assert_eq!(
+            PulpPartitioner.partition(&csr, &params),
+            PulpPartitioner.partition(&csr, &params)
+        );
     }
 
     #[test]
@@ -1132,7 +220,7 @@ mod tests {
                 sweep_threads: threads,
                 ..Default::default()
             };
-            results.push(pulp_partition(&csr, &params));
+            results.push(PulpPartitioner.partition(&csr, &params));
         }
         assert_eq!(results[0], results[1], "1 vs 2 threads");
         assert_eq!(results[0], results[2], "1 vs 8 threads");
@@ -1152,11 +240,11 @@ mod tests {
                 sweep_mode: SweepMode::Full,
                 ..frontier
             };
-            let (pf, sf) = try_pulp_partition_with_stats(&csr, &frontier).unwrap();
-            let (pb, sb) = try_pulp_partition_with_stats(&csr, &full).unwrap();
-            let qf = PartitionQuality::evaluate(&csr, &pf, 4);
-            let qb = PartitionQuality::evaluate(&csr, &pb, 4);
-            assert!(is_valid_partition(&pf, 4));
+            let rf = run_cold(&csr, &frontier);
+            let rb = run_cold(&csr, &full);
+            let qf = PartitionQuality::evaluate(&csr, &rf.parts, 4);
+            let qb = PartitionQuality::evaluate(&csr, &rb.parts, 4);
+            assert!(is_valid_partition(&rf.parts, 4));
             // One-sided: the frontier engine may converge further within the sweep
             // budget (better cut), but must never be more than 1% worse.
             assert!(
@@ -1175,10 +263,10 @@ mod tests {
                 qb.vertex_imbalance
             );
             assert!(
-                sf.vertices_scored < sb.vertices_scored,
+                rf.vertices_scored < rb.vertices_scored,
                 "seed {seed}: frontier scored {} should be below full {}",
-                sf.vertices_scored,
-                sb.vertices_scored
+                rf.vertices_scored,
+                rb.vertices_scored
             );
         }
     }
@@ -1191,15 +279,16 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let (cold, cold_sweeps) = try_pulp_partition_with_sweeps(&csr, &params).unwrap();
-        let cold_q = PartitionQuality::evaluate(&csr, &cold, 4);
-        let (warm, warm_sweeps) =
-            try_pulp_partition_from_with_sweeps(&csr, &params, &cold).unwrap();
-        let warm_q = PartitionQuality::evaluate(&csr, &warm, 4);
-        assert!(is_valid_partition(&warm, 4));
+        let cold = run_cold(&csr, &params);
+        let cold_q = PartitionQuality::evaluate(&csr, &cold.parts, 4);
+        let warm = try_pulp_run(&csr, &params, Some(&cold.parts), None).unwrap();
+        let warm_q = PartitionQuality::evaluate(&csr, &warm.parts, 4);
+        assert!(is_valid_partition(&warm.parts, 4));
         assert!(
-            warm_sweeps < cold_sweeps,
-            "warm {warm_sweeps} sweeps should be fewer than cold {cold_sweeps}"
+            warm.lp_sweeps < cold.lp_sweeps,
+            "warm {} sweeps should be fewer than cold {}",
+            warm.lp_sweeps,
+            cold.lp_sweeps
         );
         // Refining an already-good partition must not blow up the cut or the balance.
         assert!(
@@ -1219,13 +308,12 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let (cold, _) = try_pulp_partition_with_stats(&csr, &params).unwrap();
+        let cold = run_cold(&csr, &params);
         // Warm start with an explicit (tiny) touched set versus no information at all.
-        let (_, blind) = try_pulp_partition_from_with_stats(&csr, &params, &cold, None).unwrap();
+        let blind = try_pulp_run(&csr, &params, Some(&cold.parts), None).unwrap();
         let touched: Vec<u64> = vec![0, 1, 30];
-        let (warm, scoped) =
-            try_pulp_partition_from_with_stats(&csr, &params, &cold, Some(&touched)).unwrap();
-        assert!(is_valid_partition(&warm, 4));
+        let scoped = try_pulp_run(&csr, &params, Some(&cold.parts), Some(&touched)).unwrap();
+        assert!(is_valid_partition(&scoped.parts, 4));
         assert!(
             scoped.vertices_scored * 5 <= blind.vertices_scored.max(1),
             "touched-seeded warm run scored {} vertices, blind warm run {}",
@@ -1244,12 +332,14 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let (cold, _) = try_pulp_partition_with_stats(&csr, &params).unwrap();
-        let (warm, stats) =
-            try_pulp_partition_from_with_stats(&csr, &params, &cold, Some(&[])).unwrap();
-        assert_eq!(warm, cold, "an empty delta must not move anything");
-        assert_eq!(stats.sweeps, 0, "no touched vertices, no sweeps");
-        assert_eq!(stats.vertices_scored, 0);
+        let cold = run_cold(&csr, &params);
+        let warm = try_pulp_run(&csr, &params, Some(&cold.parts), Some(&[])).unwrap();
+        assert_eq!(
+            warm.parts, cold.parts,
+            "an empty delta must not move anything"
+        );
+        assert_eq!(warm.lp_sweeps, 0, "no touched vertices, no sweeps");
+        assert_eq!(warm.vertices_scored, 0);
     }
 
     #[test]
@@ -1265,7 +355,9 @@ mod tests {
         let mut initial: Vec<i32> = (0..64).map(|v| if v % 8 < 4 { 0 } else { 1 }).collect();
         initial[9] = UNASSIGNED; // column 1: all neighbours in part 0
         initial[14] = UNASSIGNED; // column 6: all neighbours in part 1
-        let parts = try_pulp_partition_from(&csr, &params, &initial).unwrap();
+        let parts = PulpPartitioner
+            .try_partition_from(&csr, &params, &initial)
+            .unwrap();
         assert_eq!(parts[9], 0, "majority of assigned neighbours is part 0");
         assert_eq!(parts[14], 1, "majority of assigned neighbours is part 1");
         // Everything already assigned stays put under a seed-only schedule.
@@ -1281,14 +373,14 @@ mod tests {
         let csr = grid_csr(4, 4);
         let params = PartitionParams::with_parts(2);
         assert!(matches!(
-            try_pulp_partition_from(&csr, &params, &[0; 3]),
-            Err(crate::error::PartitionError::InvalidWarmStart { .. })
+            PulpPartitioner.try_partition_from(&csr, &params, &[0; 3]),
+            Err(PartitionError::InvalidWarmStart { .. })
         ));
         let mut bad = vec![0i32; 16];
         bad[7] = 5; // out of range for 2 parts
         assert!(matches!(
-            try_pulp_partition_from(&csr, &params, &bad),
-            Err(crate::error::PartitionError::InvalidWarmStart { .. })
+            PulpPartitioner.try_partition_from(&csr, &params, &bad),
+            Err(PartitionError::InvalidWarmStart { .. })
         ));
     }
 
@@ -1300,11 +392,15 @@ mod tests {
             seed: 11,
             ..Default::default()
         };
-        let mut initial = pulp_partition(&csr, &params);
+        let mut initial = PulpPartitioner.partition(&csr, &params);
         initial[5] = UNASSIGNED;
         initial[77] = UNASSIGNED;
-        let a = try_pulp_partition_from(&csr, &params, &initial).unwrap();
-        let b = try_pulp_partition_from(&csr, &params, &initial).unwrap();
+        let a = PulpPartitioner
+            .try_partition_from(&csr, &params, &initial)
+            .unwrap();
+        let b = PulpPartitioner
+            .try_partition_from(&csr, &params, &initial)
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -1320,5 +416,80 @@ mod tests {
         let (parts, q) = PulpPartitioner.partition_with_quality(&csr, &params);
         assert!(is_valid_partition(&parts, 4));
         assert!(q.vertex_imbalance <= 1.25);
+    }
+
+    #[test]
+    fn pulp_is_one_rank_xtrapulp_cold_and_warm() {
+        let presets = [
+            GraphKind::WebCrawl {
+                num_vertices: 2048,
+                avg_degree: 12,
+                community_size: 128,
+            },
+            GraphKind::BarabasiAlbert {
+                num_vertices: 2048,
+                edges_per_vertex: 6,
+            },
+        ];
+        let one_rank = XtraPulpPartitioner::new(1);
+        for kind in presets {
+            let csr = GraphConfig::new(kind, 31).generate().to_csr();
+            let params = PartitionParams {
+                num_parts: 8,
+                seed: 31,
+                ..Default::default()
+            };
+            let pulp = PulpPartitioner.partition(&csr, &params);
+            assert_eq!(pulp, one_rank.partition(&csr, &params), "{kind:?}: cold");
+            // Warm from a perturbed seed: some vertices unassigned, some relabelled.
+            let mut seed = pulp.clone();
+            for v in (0..seed.len()).step_by(17) {
+                seed[v] = if v % 2 == 0 {
+                    UNASSIGNED
+                } else {
+                    (seed[v] + 1) % 8
+                };
+            }
+            let warm = PulpPartitioner
+                .try_partition_from(&csr, &params, &seed)
+                .unwrap();
+            let reference = one_rank.try_partition_from(&csr, &params, &seed).unwrap();
+            assert_eq!(warm, reference, "{kind:?}: warm");
+        }
+    }
+
+    #[test]
+    fn pulp_meets_the_balance_targets_on_rmat() {
+        // Skewed R-MAT is where PuLP needs spill moves and the final rebalance pass to
+        // reach the 1.10 targets.
+        let csr = GraphConfig::new(
+            GraphKind::Rmat {
+                scale: 11,
+                edge_factor: 16,
+            },
+            7,
+        )
+        .generate()
+        .to_csr();
+        let params = PartitionParams {
+            num_parts: 8,
+            seed: 7,
+            ..Default::default()
+        };
+        let (parts, q) = PulpPartitioner.partition_with_quality(&csr, &params);
+        assert!(is_valid_partition(&parts, 8));
+        // One vertex of rounding on top of the 10% slack.
+        let n = csr.num_vertices() as f64;
+        let vertex_bound = 1.0 + params.vertex_imbalance + 8.0 / n;
+        assert!(
+            q.vertex_imbalance <= vertex_bound,
+            "vertex imbalance {} above {vertex_bound}",
+            q.vertex_imbalance
+        );
+        assert!(
+            q.edge_imbalance <= 1.0 + params.edge_imbalance + 8.0 / n,
+            "edge imbalance {}",
+            q.edge_imbalance
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! The shared frontier-driven, thread-parallel label-propagation sweep engine.
 //!
 //! Every stage of every label-propagation partitioner in this workspace — the four
-//! serial PuLP stages, the distributed XtraPuLP stages and the multilevel boundary
+//! XtraPuLP stages (which PuLP runs on one rank) and the multilevel boundary
 //! refinement — has the same inner shape: sweep over a set of vertices, score each
 //! vertex's neighbouring parts, maybe move it, and update per-part counters. The seed
 //! implementation walked *all* `0..n` vertices every sweep and re-zeroed a `p`-length
@@ -410,8 +410,8 @@ impl SweepEngine {
 
     /// The per-stage sweep wall-clock as a [`PhaseTimer`] with
     /// `sweep_refine`/`sweep_balance`/`sweep_churn` phases (zero-duration stages
-    /// omitted). Both the serial and distributed drivers merge this into their
-    /// reports' timings — the phase names are defined once, here.
+    /// omitted). The XtraPuLP driver merges this into its reports' timings — the phase
+    /// names are defined once, here.
     pub fn stage_timings(&self) -> xtrapulp_comm::PhaseTimer {
         let mut timings = xtrapulp_comm::PhaseTimer::new();
         for (phase, kind) in [
@@ -586,12 +586,8 @@ impl SweepEngine {
 /// `p`-length vectors per invocation.
 #[derive(Debug, Default)]
 pub struct PartCounters {
-    /// Part sizes in vertices.
+    /// Part sizes in vertices (multilevel refinement).
     pub size_v: Vec<i64>,
-    /// Part sizes in arcs (degree sums).
-    pub size_e: Vec<i64>,
-    /// Per-part cut arc counts.
-    pub size_c: Vec<i64>,
     /// This-iteration vertex-count changes (distributed stages).
     pub change_v: Vec<i64>,
     /// This-iteration arc-count changes (distributed stages).
@@ -609,8 +605,6 @@ impl PartCounters {
     pub fn ensure(&mut self, num_parts: usize) {
         for buf in [
             &mut self.size_v,
-            &mut self.size_e,
-            &mut self.size_c,
             &mut self.change_v,
             &mut self.change_e,
             &mut self.change_c,

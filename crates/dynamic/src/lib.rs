@@ -20,15 +20,15 @@
 //! * [`seed_from_previous`] — extend the previous epoch's part vector over a delta's new
 //!   vertices with [`UNASSIGNED`](xtrapulp_graph::UNASSIGNED) markers, ready for any
 //!   [`WarmStartPartitioner`](xtrapulp::WarmStartPartitioner)
-//!   (`try_pulp_partition_from`, `try_xtrapulp_partition_from`, or the multilevel
-//!   refine-only drivers).
+//!   (`PulpPartitioner`, `XtraPulpPartitioner`, the multilevel refine-only drivers) or
+//!   for `try_xtrapulp_partition_from` on a distributed graph.
 //!
 //! The serving layer over this crate is `xtrapulp_api::DynamicSession`
 //! (apply → repartition → report); `xtrapulp_gen::updates` generates realistic
 //! timestamped mutation traces for benches and tests.
 //!
 //! ```
-//! use xtrapulp::{try_pulp_partition, try_pulp_partition_from, PartitionParams};
+//! use xtrapulp::{try_pulp_partition, PartitionParams, PulpPartitioner, WarmStartPartitioner};
 //! use xtrapulp_dynamic::{seed_from_previous, DynamicGraph, UpdateBatch};
 //! use xtrapulp_gen::{GraphConfig, GraphKind};
 //!
@@ -50,7 +50,9 @@
 //! // Warm-start repartition: previous labels seed the run, the new vertex is assigned
 //! // greedily, and only a short refinement schedule runs.
 //! let seed = seed_from_previous(&parts, &delta);
-//! parts = try_pulp_partition_from(graph.csr(), &params, &seed).unwrap();
+//! parts = PulpPartitioner
+//!     .try_partition_from(graph.csr(), &params, &seed)
+//!     .unwrap();
 //! assert_eq!(parts.len(), graph.num_vertices());
 //! ```
 
@@ -68,7 +70,7 @@ pub use xtrapulp_graph::{GraphDelta, UpdateOp};
 mod tests {
     use super::*;
     use xtrapulp::metrics::PartitionQuality;
-    use xtrapulp::{try_pulp_partition, try_pulp_partition_from, PartitionParams};
+    use xtrapulp::{try_pulp_partition, PartitionParams, PulpPartitioner, WarmStartPartitioner};
     use xtrapulp_gen::{GraphConfig, GraphKind};
 
     fn social_graph() -> xtrapulp_graph::Csr {
@@ -100,9 +102,9 @@ mod tests {
         let delta = graph.validate(&UpdateBatch::new()).unwrap();
         assert!(delta.is_empty());
         graph.apply_validated(&delta);
-        let warm =
-            try_pulp_partition_from(graph.csr(), &params, &seed_from_previous(&cold, &delta))
-                .unwrap();
+        let warm = PulpPartitioner
+            .try_partition_from(graph.csr(), &params, &seed_from_previous(&cold, &delta))
+            .unwrap();
         let warm_q = PartitionQuality::evaluate(graph.csr(), &warm, 8);
 
         assert!(
@@ -140,7 +142,8 @@ mod tests {
                 .delete_edge(0, 1);
             let delta = graph.validate(&batch).unwrap();
             graph.apply_validated(&delta);
-            try_pulp_partition_from(graph.csr(), &params, &seed_from_previous(&cold, &delta))
+            PulpPartitioner
+                .try_partition_from(graph.csr(), &params, &seed_from_previous(&cold, &delta))
                 .unwrap()
         };
         let a = run();

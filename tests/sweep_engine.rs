@@ -4,7 +4,7 @@
 //! early exit on already-converged seeds.
 
 use xtrapulp::metrics::{is_valid_partition, PartitionQuality};
-use xtrapulp::{PartitionParams, Partitioner, SweepMode, XtraPulpPartitioner};
+use xtrapulp::{PartitionParams, Partitioner, PulpPartitioner, SweepMode, XtraPulpPartitioner};
 use xtrapulp_api::{DynamicSession, Method, PartitionJob, UpdateBatch};
 use xtrapulp_gen::{GraphConfig, GraphKind};
 use xtrapulp_graph::Csr;
@@ -210,7 +210,7 @@ fn serial_pulp_identical_across_thread_counts_in_both_modes() {
                 sweep_threads: threads,
                 ..Default::default()
             };
-            xtrapulp::pulp_partition(&csr, &params)
+            PulpPartitioner.partition(&csr, &params)
         };
         let one = run(1);
         assert_eq!(one, run(2), "{mode:?}: 1 vs 2 threads");
