@@ -47,52 +47,58 @@ pub struct StageCounter {
 /// target (e.g. 221 vertices against a target of 220.0), which is noise, not imbalance.
 pub(crate) const WARM_BALANCE_SLACK: f64 = 1.02;
 
-/// Global part sizes in vertices, computed collectively.
-pub fn global_vertex_counts(
-    ctx: &RankCtx,
-    graph: &DistGraph,
-    parts: &[i32],
-    num_parts: usize,
-) -> Vec<i64> {
-    let mut local = vec![0i64; num_parts];
-    for v in 0..graph.n_owned() {
-        local[parts[v] as usize] += 1;
-    }
-    ctx.allreduce_sum_i64(&local)
+/// Global per-part sizes plus the global frontier size, from one local scan and one
+/// allreduce: the census every stage pass (and the warm-start balance check) opens with.
+/// Identical on every rank.
+#[derive(Debug)]
+pub(crate) struct Census {
+    /// Vertices per part.
+    pub size_v: Vec<i64>,
+    /// Arcs (vertex degree sums) per part.
+    pub size_e: Vec<i64>,
+    /// Cut arcs per part (arcs whose source lies in the part and whose endpoint is in a
+    /// different part); empty unless the census was taken with `cuts`.
+    pub size_c: Vec<i64>,
+    /// Vertices queued in the sweep frontiers of all ranks.
+    pub active: u64,
 }
 
-/// Global part sizes in arcs (vertex degree sums), computed collectively.
-pub fn global_arc_counts(
-    ctx: &RankCtx,
-    graph: &DistGraph,
-    parts: &[i32],
-    num_parts: usize,
-) -> Vec<i64> {
-    let mut local = vec![0i64; num_parts];
-    for v in 0..graph.n_owned() {
-        local[parts[v] as usize] += graph.degree_owned(v as LocalId) as i64;
-    }
-    ctx.allreduce_sum_i64(&local)
-}
-
-/// Global per-part cut arc counts (arcs whose source lies in the part and whose endpoint
-/// is in a different part), computed collectively.
-pub fn global_cut_counts(
-    ctx: &RankCtx,
-    graph: &DistGraph,
-    parts: &[i32],
-    num_parts: usize,
-) -> Vec<i64> {
-    let mut local = vec![0i64; num_parts];
-    for v in 0..graph.n_owned() {
-        let pv = parts[v];
-        for &u in graph.neighbors(v as LocalId) {
-            if parts[u as usize] != pv {
-                local[pv as usize] += 1;
+impl Census {
+    /// Take the census collectively. `cuts` also counts cut arcs, which costs a walk
+    /// over every owned adjacency; `active` is this rank's frontier length.
+    pub(crate) fn take(
+        ctx: &RankCtx,
+        graph: &DistGraph,
+        parts: &[i32],
+        num_parts: usize,
+        cuts: bool,
+        active: usize,
+    ) -> Census {
+        let p = num_parts;
+        let width = if cuts { 3 * p } else { 2 * p };
+        let mut local = vec![0i64; width + 1];
+        for v in 0..graph.n_owned() {
+            let pv = parts[v] as usize;
+            local[pv] += 1;
+            local[p + pv] += graph.degree_owned(v as LocalId) as i64;
+            if cuts {
+                let cut = graph
+                    .neighbors(v as LocalId)
+                    .iter()
+                    .filter(|&&u| parts[u as usize] != parts[v])
+                    .count();
+                local[2 * p + pv] += cut as i64;
             }
         }
+        local[width] = active as i64;
+        let global = ctx.allreduce_sum_i64(&local);
+        Census {
+            size_v: global[..p].to_vec(),
+            size_e: global[p..2 * p].to_vec(),
+            size_c: global[2 * p..width].to_vec(),
+            active: global[width] as u64,
+        }
     }
-    ctx.allreduce_sum_i64(&local)
 }
 
 /// Enqueue-neighbours closure over a rank's local graph: only owned neighbours are
@@ -119,18 +125,36 @@ pub(crate) fn recount_two(
     parts: &[i32],
     x: usize,
     target: usize,
-) -> (f64, f64) {
-    let mut s_x = 0.0f64;
-    let mut s_t = 0.0f64;
+) -> (u64, u64) {
+    let mut s_x = 0u64;
+    let mut s_t = 0u64;
     for &u in graph.neighbors(v as LocalId) {
         let pu = parts[u as usize] as usize;
         if pu == x {
-            s_x += 1.0;
+            s_x += 1;
         } else if pu == target {
-            s_t += 1.0;
+            s_t += 1;
         }
     }
     (s_x, s_t)
+}
+
+/// `v`'s neighbour counts in `x` and `target` for an apply-phase recheck: read from the
+/// proposer's live count sums when the engine passes them, recounted otherwise. Only
+/// for stages whose `propose` adds `1` per neighbour.
+#[inline]
+pub(crate) fn counts_two(
+    graph: &DistGraph,
+    v: u32,
+    parts: &[i32],
+    x: usize,
+    target: usize,
+    live: Option<&ScoreScratch>,
+) -> (u64, u64) {
+    match live {
+        Some(counts) => (counts.get(x), counts.get(target)),
+        None => recount_two(graph, v, parts, x, target),
+    }
 }
 
 /// One distributed vertex-balancing sweep: weighted label propagation towards
@@ -171,7 +195,7 @@ impl SweepStage for DistVertexBalance<'_> {
         scratch.clear();
         for &u in self.graph.neighbors(v as LocalId) {
             let pu = parts[u as usize] as usize;
-            scratch.add(pu, self.graph.degree(u) as f64);
+            scratch.add(pu, self.graph.degree(u));
         }
         // Pick the best-scoring admissible part; ties keep the current part.
         let mut best_part = x;
@@ -180,7 +204,7 @@ impl SweepStage for DistVertexBalance<'_> {
             if self.estimate(i) + 1.0 > self.max_v {
                 continue;
             }
-            let score = scratch.get(i) * self.weights[i];
+            let score = scratch.get(i) as f64 * self.weights[i];
             if score > best_score || (score == best_score && i == x) {
                 best_score = score;
                 best_part = i;
@@ -211,7 +235,7 @@ impl SweepStage for DistVertexBalance<'_> {
         best_part as i32
     }
 
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
+    fn apply(&mut self, v: u32, target: usize, parts: &[i32], live: Option<&ScoreScratch>) -> bool {
         let x = parts[v as usize] as usize;
         if self.estimate(target) + 1.0 > self.max_v {
             return false;
@@ -219,9 +243,13 @@ impl SweepStage for DistVertexBalance<'_> {
         // A proposal is either a weighted label-propagation move (needs an attractive,
         // still-underweight target with a neighbour in it) or a spill (needs the
         // current part still over target and the destination under it at the
-        // conservative charge).
-        let (_, s_t) = recount_two(self.graph, v, parts, x, target);
-        let normal = self.weights[target] > 0.0 && s_t > 0.0;
+        // conservative charge). The proposer's sums are degree-weighted, and every
+        // neighbour's degree counts its arc to `v`, so a positive sum means a neighbour.
+        let has_neighbor = match live {
+            Some(sums) => sums.get(target) > 0,
+            None => recount_two(self.graph, v, parts, x, target).1 > 0,
+        };
+        let normal = self.weights[target] > 0.0 && has_neighbor;
         if !normal {
             let over = self.estimate(x) > self.imb_v;
             if !(over && self.spill_estimate(target) + 1.0 <= self.imb_v) {
@@ -254,7 +282,9 @@ pub fn vertex_balance(
     let n_owned = graph.n_owned();
     let frontier_mode = params.sweep_mode == SweepMode::Frontier;
     let imb_v = params.target_max_vertices(graph.global_n());
-    let mut size_v = global_vertex_counts(ctx, graph, parts, p);
+    let Census {
+        mut size_v, active, ..
+    } = Census::take(ctx, graph, parts, p, false, ws.engine.frontier.active_len());
 
     // The stage exists to meet the vertex-balance constraint; once it holds (a global
     // fact, so every rank takes the same branch), its churn is pure perturbation —
@@ -262,8 +292,7 @@ pub fn vertex_balance(
     // churn sweep lets the next refinement round escape its local optimum.
     let balanced = size_v.iter().all(|&s| (s as f64) <= imb_v);
     let sweep_cap = if frontier_mode && balanced {
-        let global_active = ctx.allreduce_scalar_sum_u64(ws.engine.frontier.active_len() as u64);
-        if global_active > 0 {
+        if active > 0 {
             0
         } else {
             1
@@ -360,7 +389,7 @@ impl SweepStage for DistVertexRefine<'_> {
         let x = parts[v as usize] as usize;
         scratch.clear();
         for &u in self.graph.neighbors(v as LocalId) {
-            scratch.add(parts[u as usize] as usize, 1.0);
+            scratch.add(parts[u as usize] as usize, 1);
         }
         let own_score = scratch.get(x);
         let mut best_part = x;
@@ -382,12 +411,12 @@ impl SweepStage for DistVertexRefine<'_> {
         }
     }
 
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
+    fn apply(&mut self, v: u32, target: usize, parts: &[i32], live: Option<&ScoreScratch>) -> bool {
         let x = parts[v as usize] as usize;
         if self.estimate(target) + 1.0 > self.max_v {
             return false;
         }
-        let (s_x, s_t) = recount_two(self.graph, v, parts, x, target);
+        let (s_x, s_t) = counts_two(self.graph, v, parts, x, target, live);
         if s_t <= s_x {
             return false;
         }
@@ -400,7 +429,8 @@ impl SweepStage for DistVertexRefine<'_> {
 /// One pass of the vertex refinement phase (Algorithm 5): constrained label-propagation
 /// iterations that greedily minimise the edge cut without letting any part exceed the
 /// current maximum size (or the imbalance target, whichever is larger). Frontier-driven
-/// with the [`RefineConvergence`] protocol; must be called collectively.
+/// with the [`RefineConvergence`] protocol; must be called collectively. Returns the
+/// global frontier size the pass leaves behind (identical on every rank).
 #[allow(clippy::too_many_arguments)]
 pub fn vertex_refine(
     ctx: &RankCtx,
@@ -411,22 +441,26 @@ pub fn vertex_refine(
     ws: &mut SweepWorkspace,
     ghosts: &GhostNeighborMap,
     convergence: RefineConvergence,
-) {
+) -> u64 {
     let p = params.num_parts;
     let nranks = ctx.nranks();
     let n_owned = graph.n_owned();
     let frontier_mode = params.sweep_mode == SweepMode::Frontier;
     let imb_v = params.target_max_vertices(graph.global_n());
-    // A globally-converged frontier-only pass does no work at all — skip the counter
-    // collectives too. The check is on a global number, so every rank returns (or
-    // proceeds) together.
+    // A globally-converged frontier-only pass does no work at all — skip the census
+    // scan too. The check is on a global number, so every rank returns (or proceeds)
+    // together.
     if frontier_mode && convergence == RefineConvergence::FrontierOnly {
         let global_active = ctx.allreduce_scalar_sum_u64(ws.engine.frontier.active_len() as u64);
         if global_active == 0 {
-            return;
+            return 0;
         }
     }
-    let mut size_v = global_vertex_counts(ctx, graph, parts, p);
+    let Census {
+        mut size_v,
+        active: mut global_active,
+        ..
+    } = Census::take(ctx, graph, parts, p, false, ws.engine.frontier.active_len());
 
     let SweepWorkspace {
         engine, counters, ..
@@ -436,18 +470,20 @@ pub fn vertex_refine(
     // barely more than the frontier sweep it replaces and restores the legacy
     // schedule's per-round global coverage. The decision is made on global numbers, so
     // every rank clears (or keeps) its frontier together.
-    if frontier_mode && convergence == RefineConvergence::Polish {
-        let global_active = ctx.allreduce_scalar_sum_u64(engine.frontier.active_len() as u64);
-        if global_active > graph.global_n() / 8 {
-            engine.frontier.clear();
-        }
+    if frontier_mode
+        && convergence == RefineConvergence::Polish
+        && global_active > graph.global_n() / 8
+    {
+        engine.frontier.clear();
+        global_active = 0;
     }
 
     let budget = refine_budget(params.refine_iters, params.sweep_mode);
     let mut updates: Vec<PartUpdate> = Vec::new();
     for _ in 0..budget {
+        // `global_active` is the frontier the previous sweep's closing allreduce (or
+        // the census) counted after its ghost exchange.
         let use_frontier = if frontier_mode {
-            let global_active = ctx.allreduce_scalar_sum_u64(engine.frontier.active_len() as u64);
             if global_active == 0 && convergence == RefineConvergence::FrontierOnly {
                 break;
             }
@@ -483,13 +519,15 @@ pub fn vertex_refine(
         );
 
         push_part_updates_marking(ctx, graph, &updates, parts, ghosts, &mut engine.frontier);
-        let mut all = Vec::with_capacity(p + 1);
+        let mut all = Vec::with_capacity(p + 2);
         all.extend_from_slice(&counters.change_v);
         all.push(updates.len() as i64);
+        all.push(engine.frontier.active_len() as i64);
         let global = ctx.allreduce_sum_i64(&all);
         for i in 0..p {
             size_v[i] += global[i];
         }
+        global_active = global[p + 1] as u64;
         counter.iter_tot += 1;
         // Global fixed point: a move-free full sweep ends the pass in frontier mode
         // (the legacy schedule always ran its full budget); a move-free frontier sweep
@@ -501,6 +539,7 @@ pub fn vertex_refine(
             break;
         }
     }
+    global_active
 }
 
 /// Explicit final rebalance pass, the distributed analogue of the multilevel drivers'
@@ -528,8 +567,11 @@ pub fn final_rebalance(
     let n_owned = graph.n_owned();
     let imb_v = params.target_max_vertices(graph.global_n());
     let imb_e = params.target_max_arcs(2 * graph.global_m());
-    let mut size_v = global_vertex_counts(ctx, graph, parts, p);
-    let mut size_e = global_arc_counts(ctx, graph, parts, p);
+    let Census {
+        mut size_v,
+        mut size_e,
+        ..
+    } = Census::take(ctx, graph, parts, p, false, 0);
     let mut scratch = ScoreScratch::new(p);
 
     // Rounding-level overshoot (a converged run routinely lands within a couple of
@@ -579,13 +621,13 @@ pub fn final_rebalance(
             let deg = graph.degree_owned(v as LocalId) as f64;
             scratch.clear();
             for &u in graph.neighbors(v as LocalId) {
-                scratch.add(parts[u as usize] as usize, 1.0);
+                scratch.add(parts[u as usize] as usize, 1);
             }
             // Cut-aware first choice: the admissible neighbouring part retaining the
             // most adjacent arcs, preferring parts with arc headroom.
             let pick = |require_arc_room: bool, change_v: &[i64], change_e: &[i64]| {
                 let mut best: Option<usize> = None;
-                let mut best_score = 0.0f64;
+                let mut best_score = 0u64;
                 for &i in scratch.touched() {
                     if i == x
                         || !admissible(i, change_v)
@@ -814,7 +856,7 @@ mod tests {
     }
 
     #[test]
-    fn global_count_helpers_sum_to_totals() {
+    fn census_sums_to_totals() {
         let edges = grid_edges(10, 10);
         Runtime::run(4, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Hashed, 100, &edges);
@@ -824,12 +866,17 @@ mod tests {
                 ..Default::default()
             };
             let parts = init_partition(ctx, &g, &params);
-            let verts = global_vertex_counts(ctx, &g, &parts, 5);
-            let arcs = global_arc_counts(ctx, &g, &parts, 5);
-            let cuts = global_cut_counts(ctx, &g, &parts, 5);
-            assert_eq!(verts.iter().sum::<i64>(), 100);
-            assert_eq!(arcs.iter().sum::<i64>() as u64, 2 * g.global_m());
-            assert!(cuts.iter().sum::<i64>() >= 0);
+            let census = Census::take(ctx, &g, &parts, 5, true, ctx.rank() + 1);
+            assert_eq!(census.size_v.iter().sum::<i64>(), 100);
+            assert_eq!(census.size_e.iter().sum::<i64>() as u64, 2 * g.global_m());
+            // Every cut edge is counted once from each side.
+            let cut = PartitionQuality::evaluate_dist(ctx, &g, &parts, 5).edge_cut;
+            assert_eq!(census.size_c.iter().sum::<i64>() as u64, 2 * cut);
+            assert_eq!(census.active, 1 + 2 + 3 + 4);
+            let without_cuts = Census::take(ctx, &g, &parts, 5, false, 0);
+            assert_eq!(without_cuts.size_v, census.size_v);
+            assert_eq!(without_cuts.size_e, census.size_e);
+            assert!(without_cuts.size_c.is_empty());
         });
     }
 }

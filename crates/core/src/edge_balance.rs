@@ -25,10 +25,7 @@
 use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::{DistGraph, LocalId};
 
-use crate::balance::{
-    dist_neighbors, global_arc_counts, global_cut_counts, global_vertex_counts, recount_two,
-    StageCounter,
-};
+use crate::balance::{counts_two, dist_neighbors, Census, StageCounter};
 use crate::exchange::{push_part_updates_marking, GhostNeighborMap, PartUpdate};
 use crate::params::PartitionParams;
 use crate::sweep::{
@@ -94,7 +91,7 @@ impl DistEdgeBalance<'_> {
     }
 
     /// Commit the counter updates of a move of `v` (degree `deg`) from `x` to `w`.
-    fn commit(&mut self, x: usize, w: usize, deg: f64, cut_from_x: i64, cut_from_w: i64) {
+    fn commit(&mut self, x: usize, w: usize, deg: u64, cut_from_x: i64, cut_from_w: i64) {
         self.state.change_v[x] -= 1;
         self.state.change_v[w] += 1;
         self.state.change_e[x] -= deg as i64;
@@ -114,7 +111,7 @@ impl SweepStage for DistEdgeBalance<'_> {
         let deg = self.graph.degree_owned(v as LocalId) as f64;
         scratch.clear();
         for &u in self.graph.neighbors(v as LocalId) {
-            scratch.add(parts[u as usize] as usize, 1.0);
+            scratch.add(parts[u as usize] as usize, 1);
         }
         let mut best_part = x;
         let mut best_score = 0.0f64;
@@ -130,8 +127,8 @@ impl SweepStage for DistEdgeBalance<'_> {
             if self.state.est_e(i, self.mult) + deg > self.max_e {
                 continue;
             }
-            let score =
-                scratch.get(i) * (self.r_e * self.state.w_e[i] + self.r_c * self.state.w_c[i]);
+            let score = scratch.get(i) as f64
+                * (self.r_e * self.state.w_e[i] + self.r_c * self.state.w_c[i]);
             if score > best_score {
                 best_score = score;
                 best_part = i;
@@ -144,21 +141,21 @@ impl SweepStage for DistEdgeBalance<'_> {
         }
     }
 
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
+    fn apply(&mut self, v: u32, target: usize, parts: &[i32], live: Option<&ScoreScratch>) -> bool {
         let x = parts[v as usize] as usize;
-        let deg = self.graph.degree_owned(v as LocalId) as f64;
+        let deg = self.graph.degree_owned(v as LocalId);
         if self.state.est_v(target, self.mult) + 1.0 > self.max_v
-            || self.state.est_e(target, self.mult) + deg > self.max_e
+            || self.state.est_e(target, self.mult) + deg as f64 > self.max_e
             || self.r_e * self.state.w_e[target] + self.r_c * self.state.w_c[target] <= 0.0
         {
             return false;
         }
-        let (s_x, s_t) = recount_two(self.graph, v, parts, x, target);
-        if s_t <= 0.0 {
+        let (s_x, s_t) = counts_two(self.graph, v, parts, x, target, live);
+        if s_t == 0 {
             return false;
         }
-        let cut_from_x = deg as i64 - s_x as i64;
-        let cut_from_t = deg as i64 - s_t as i64;
+        let cut_from_x = (deg - s_x) as i64;
+        let cut_from_t = (deg - s_t) as i64;
         self.commit(x, target, deg, cut_from_x, cut_from_t);
         true
     }
@@ -184,9 +181,12 @@ pub fn edge_balance(
     let imb_v = params.target_max_vertices(graph.global_n());
     let imb_e = params.target_max_arcs(2 * graph.global_m());
 
-    let mut size_v = global_vertex_counts(ctx, graph, parts, p);
-    let mut size_e = global_arc_counts(ctx, graph, parts, p);
-    let mut size_c = global_cut_counts(ctx, graph, parts, p);
+    let Census {
+        mut size_v,
+        mut size_e,
+        mut size_c,
+        active,
+    } = Census::take(ctx, graph, parts, p, true, ws.engine.frontier.active_len());
 
     // Fixed-point perturbation policy against the edge target, mirroring the vertex
     // stage, plus stall detection: when the target is unreachable (hub-dominated
@@ -209,8 +209,7 @@ pub fn edge_balance(
         // remaining schedule.
         1
     } else if frontier_mode && edge_balanced {
-        let global_active = ctx.allreduce_scalar_sum_u64(ws.engine.frontier.active_len() as u64);
-        if global_active > 0 {
+        if active > 0 {
             0
         } else {
             1
@@ -336,7 +335,7 @@ impl SweepStage for DistEdgeRefine<'_> {
         let deg = self.graph.degree_owned(v as LocalId) as f64;
         scratch.clear();
         for &u in self.graph.neighbors(v as LocalId) {
-            scratch.add(parts[u as usize] as usize, 1.0);
+            scratch.add(parts[u as usize] as usize, 1);
         }
         let own_score = scratch.get(x);
         let mut best_part = x;
@@ -345,7 +344,7 @@ impl SweepStage for DistEdgeRefine<'_> {
             if i == x {
                 continue;
             }
-            let cut_into_i = deg - scratch.get(i);
+            let cut_into_i = deg - scratch.get(i) as f64;
             if self.state.est_v(i, self.guard_mult) + 1.0 > self.max_v {
                 continue;
             }
@@ -368,19 +367,19 @@ impl SweepStage for DistEdgeRefine<'_> {
         }
     }
 
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
+    fn apply(&mut self, v: u32, target: usize, parts: &[i32], live: Option<&ScoreScratch>) -> bool {
         let x = parts[v as usize] as usize;
-        let deg = self.graph.degree_owned(v as LocalId) as f64;
-        let (s_x, s_t) = recount_two(self.graph, v, parts, x, target);
+        let deg = self.graph.degree_owned(v as LocalId);
+        let (s_x, s_t) = counts_two(self.graph, v, parts, x, target, live);
         if s_t <= s_x
             || self.state.est_v(target, self.guard_mult) + 1.0 > self.max_v
-            || self.state.est_e(target, self.guard_mult) + deg > self.max_e
-            || self.state.est_c(target, self.guard_mult) + (deg - s_t) > self.max_c
+            || self.state.est_e(target, self.guard_mult) + deg as f64 > self.max_e
+            || self.state.est_c(target, self.guard_mult) + (deg - s_t) as f64 > self.max_c
         {
             return false;
         }
-        let cut_from_x = deg as i64 - s_x as i64;
-        let cut_from_t = deg as i64 - s_t as i64;
+        let cut_from_x = (deg - s_x) as i64;
+        let cut_from_t = (deg - s_t) as i64;
         self.state.change_v[x] -= 1;
         self.state.change_v[target] += 1;
         self.state.change_e[x] -= deg as i64;
@@ -394,6 +393,7 @@ impl SweepStage for DistEdgeRefine<'_> {
 /// One pass of the edge-stage refinement: constrained label propagation that reduces the
 /// cut while never increasing the maximum vertex, edge or cut load of any part.
 /// Frontier-driven with the [`RefineConvergence`] protocol; must be called collectively.
+/// Returns the global frontier size the pass leaves behind (identical on every rank).
 #[allow(clippy::too_many_arguments)]
 pub fn edge_refine(
     ctx: &RankCtx,
@@ -404,43 +404,49 @@ pub fn edge_refine(
     ws: &mut SweepWorkspace,
     ghosts: &GhostNeighborMap,
     convergence: RefineConvergence,
-) {
+) -> u64 {
     let p = params.num_parts;
     let nranks = ctx.nranks();
     let n_owned = graph.n_owned();
     let frontier_mode = params.sweep_mode == SweepMode::Frontier;
     let imb_v = params.target_max_vertices(graph.global_n());
     let imb_e = params.target_max_arcs(2 * graph.global_m());
-    // A globally-converged frontier-only pass does no work at all — skip the counter
-    // collectives (each an O(n) or O(m) local scan) too. Global check: every rank
-    // returns or proceeds together.
+    // A globally-converged frontier-only pass does no work at all — skip the census
+    // (an O(m) local scan) too. Global check: every rank returns or proceeds together.
     if frontier_mode && convergence == RefineConvergence::FrontierOnly {
         let global_active = ctx.allreduce_scalar_sum_u64(ws.engine.frontier.active_len() as u64);
         if global_active == 0 {
-            return;
+            return 0;
         }
     }
 
-    let mut size_v = global_vertex_counts(ctx, graph, parts, p);
-    let mut size_e = global_arc_counts(ctx, graph, parts, p);
-    let mut size_c = global_cut_counts(ctx, graph, parts, p);
+    let Census {
+        mut size_v,
+        mut size_e,
+        mut size_c,
+        active: mut global_active,
+    } = Census::take(ctx, graph, parts, p, true, ws.engine.frontier.active_len());
 
     let SweepWorkspace {
         engine, counters, ..
     } = ws;
     engine.set_stage(StageKind::Refine);
-    if frontier_mode && convergence == RefineConvergence::Polish {
-        let global_active = ctx.allreduce_scalar_sum_u64(engine.frontier.active_len() as u64);
-        if global_active > graph.global_n() / 8 {
-            engine.frontier.clear();
-        }
+    // As in vertex refinement, a pass inheriting a large global frontier opens with
+    // one full sweep.
+    if frontier_mode
+        && convergence == RefineConvergence::Polish
+        && global_active > graph.global_n() / 8
+    {
+        engine.frontier.clear();
+        global_active = 0;
     }
 
     let budget = refine_budget(params.refine_iters, params.sweep_mode);
     let mut updates: Vec<PartUpdate> = Vec::new();
     for _ in 0..budget {
+        // `global_active` is the frontier the previous sweep's closing allreduce (or
+        // the census) counted after its ghost exchange.
         let use_frontier = if frontier_mode {
-            let global_active = ctx.allreduce_scalar_sum_u64(engine.frontier.active_len() as u64);
             if global_active == 0 && convergence == RefineConvergence::FrontierOnly {
                 break;
             }
@@ -488,11 +494,12 @@ pub fn edge_refine(
         );
 
         push_part_updates_marking(ctx, graph, &updates, parts, ghosts, &mut engine.frontier);
-        let mut all = Vec::with_capacity(3 * p + 1);
+        let mut all = Vec::with_capacity(3 * p + 2);
         all.extend_from_slice(&counters.change_v);
         all.extend_from_slice(&counters.change_e);
         all.extend_from_slice(&counters.change_c);
         all.push(updates.len() as i64);
+        all.push(engine.frontier.active_len() as i64);
         let global = ctx.allreduce_sum_i64(&all);
         for i in 0..p {
             size_v[i] += global[i];
@@ -500,6 +507,7 @@ pub fn edge_refine(
             size_c[i] += global[2 * p + i];
             size_c[i] = size_c[i].max(0);
         }
+        global_active = global[3 * p + 1] as u64;
         counter.iter_tot += 1;
         if frontier_mode
             && global[3 * p] == 0
@@ -508,6 +516,7 @@ pub fn edge_refine(
             break;
         }
     }
+    global_active
 }
 
 #[cfg(test)]

@@ -6,8 +6,7 @@ use xtrapulp_graph::distribution::splitmix64;
 use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, LocalId, UNASSIGNED};
 
 use crate::balance::{
-    final_rebalance, global_arc_counts, global_vertex_counts, vertex_balance, vertex_refine,
-    StageCounter, WARM_BALANCE_SLACK,
+    final_rebalance, vertex_balance, vertex_refine, Census, StageCounter, WARM_BALANCE_SLACK,
 };
 use crate::baselines;
 use crate::edge_balance::{edge_balance, edge_refine};
@@ -177,12 +176,9 @@ pub fn try_xtrapulp_partition_from_touched(
         let p = params.num_parts;
         let imb_v = params.target_max_vertices(graph.global_n()) * WARM_BALANCE_SLACK;
         let imb_e = params.target_max_arcs(2 * graph.global_m()) * WARM_BALANCE_SLACK;
-        global_vertex_counts(ctx, graph, &parts, p)
-            .iter()
-            .any(|&s| s as f64 > imb_v)
-            || global_arc_counts(ctx, graph, &parts, p)
-                .iter()
-                .any(|&s| s as f64 > imb_e)
+        let census = Census::take(ctx, graph, &parts, p, false, 0);
+        census.size_v.iter().any(|&s| s as f64 > imb_v)
+            || census.size_e.iter().any(|&s| s as f64 > imb_e)
     };
     if params.sweep_mode == SweepMode::Frontier {
         if balance || touched.is_none() {
@@ -330,14 +326,12 @@ fn run_stages(
                 // `edge_refine`, whose admissibility (vertex, edge and cut caps) is a
                 // superset of the vertex stage's and whose score rule is identical —
                 // running `vertex_refine` first would consume the frontier to
-                // convergence and leave the edge-capped pass nothing to check.
+                // convergence and leave the edge-capped pass nothing to check. A pass
+                // entered with a globally empty frontier returns at once, and each pass
+                // reports the global frontier it leaves, so the loop stops on the first
+                // empty one without a collective of its own.
                 for _ in 0..warm_rounds_cap {
-                    let active =
-                        ctx.allreduce_scalar_sum_u64(ws.engine.frontier.active_len() as u64);
-                    if active == 0 {
-                        break;
-                    }
-                    if params.edge_balance_stage && params.num_parts > 1 {
+                    let active = if params.edge_balance_stage && params.num_parts > 1 {
                         edge_refine(
                             ctx,
                             graph,
@@ -347,7 +341,7 @@ fn run_stages(
                             ws,
                             ghosts,
                             RefineConvergence::FrontierOnly,
-                        );
+                        )
                     } else {
                         vertex_refine(
                             ctx,
@@ -358,7 +352,10 @@ fn run_stages(
                             ws,
                             ghosts,
                             RefineConvergence::FrontierOnly,
-                        );
+                        )
+                    };
+                    if active == 0 {
+                        break;
                     }
                 }
             } else {
@@ -396,32 +393,32 @@ fn run_stages(
     let quality = timings.time("metrics", || {
         PartitionQuality::evaluate_dist(ctx, graph, &parts, params.num_parts)
     });
-    let vertices_scored = ctx.allreduce_scalar_sum_u64(ws.engine.stats.vertices_scored);
-
     // Per-stage telemetry: scored counts sum over ranks (each rank scored its own
     // vertices), sweep counts take the per-rank maximum (a rank whose local frontier
     // emptied skips — and does not count — the sweep), and the per-stage wall-clock
     // lands in the phase timer so `PartitionReport.timings` carries the breakdown.
-    let stages = {
+    let (stages, vertices_scored) = {
         let local = ws.engine.stats.stages;
         let sums = ctx.allreduce_sum_u64(&[
             local.refine_scored,
             local.balance_scored,
             local.churn_scored,
+            ws.engine.stats.vertices_scored,
         ]);
         let maxs = ctx.allreduce_max_u64(&[
             local.refine_sweeps,
             local.balance_sweeps,
             local.churn_sweeps,
         ]);
-        StageBreakdown {
+        let stages = StageBreakdown {
             refine_sweeps: maxs[0],
             refine_scored: sums[0],
             balance_sweeps: maxs[1],
             balance_scored: sums[1],
             churn_sweeps: maxs[2],
             churn_scored: sums[2],
-        }
+        };
+        (stages, sums[3])
     };
     timings.merge_max(&ws.engine.stage_timings());
 
@@ -486,9 +483,9 @@ fn warm_seed(
                 }
             }
             if any {
-                let best = (0..p)
-                    .max_by_key(|&i| (scores[i], std::cmp::Reverse(i)))
-                    .unwrap();
+                // Highest score; the lowest part id wins ties.
+                let best =
+                    (1..p).fold(0, |best, i| if scores[i] > scores[best] { i } else { best });
                 updates.push((v as LocalId, best as i32));
             }
         }
@@ -664,18 +661,14 @@ pub fn greedy_seed_unassigned(csr: &Csr, parts: &mut [i32], num_parts: usize) {
                 any = true;
             }
         }
+        // Ties go to the earliest part: the folds replace only on strict improvement.
         let best = if any {
-            (0..num_parts)
-                .max_by_key(|&i| {
-                    (
-                        scores[i],
-                        std::cmp::Reverse(size_v[i]),
-                        std::cmp::Reverse(i),
-                    )
-                })
-                .unwrap()
+            // Highest score, then the smaller part.
+            let key = |i: usize| (scores[i], std::cmp::Reverse(size_v[i]));
+            (1..num_parts).fold(0, |best, i| if key(i) > key(best) { i } else { best })
         } else {
-            (0..num_parts).min_by_key(|&i| (size_v[i], i)).unwrap()
+            // The smallest part.
+            (1..num_parts).fold(0, |best, i| if size_v[i] < size_v[best] { i } else { best })
         };
         parts[v as usize] = best as i32;
         size_v[best] += 1;
@@ -1189,6 +1182,24 @@ mod tests {
         assert!(validate_warm_start(16, 4, &bad).is_err());
         bad[0] = -2;
         assert!(validate_warm_start(16, 4, &bad).is_err());
+    }
+
+    #[test]
+    fn greedy_seed_breaks_ties_towards_smaller_then_earlier_parts() {
+        let path = csr_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        // Vertex 1 sees parts 2 and 1 once each, and both hold one vertex: part 1.
+        let mut parts = vec![2, UNASSIGNED, 1, 0, 0];
+        greedy_seed_unassigned(&path, &mut parts, 3);
+        assert_eq!(parts[1], 1);
+        // Same scores, but part 1 is larger now: the smaller part 2 wins.
+        let mut parts = vec![2, UNASSIGNED, 1, 1, 0];
+        greedy_seed_unassigned(&path, &mut parts, 3);
+        assert_eq!(parts[1], 2);
+        // Isolated vertices go to the least-loaded part, the earliest among equals.
+        let edge = csr_from_edges(4, &[(0, 1)]);
+        let mut parts = vec![2, 2, UNASSIGNED, UNASSIGNED];
+        greedy_seed_unassigned(&edge, &mut parts, 3);
+        assert_eq!(parts, vec![2, 2, 0, 1]);
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //! propose phase sees a consistent snapshot, and the apply phase rechecks each proposal
 //! against the counters as earlier moves in the same chunk land (dropping proposals the
 //! chunk invalidated), so no chunk can overshoot a balance constraint.
+//!
+//! Each proposal costs one walk over the vertex's adjacency. Scoring is integer
+//! ([`ScoreScratch`] sums `u64` counts and weights), and a proposal made against the
+//! live labels — every balance-sweep proposal ([`BALANCE_CHUNK`]) and every repair
+//! proposal — is committed with the sums its proposer just accumulated (see
+//! [`SweepStage::apply`]), so the apply phase does not walk the adjacency again.
 
 use std::num::NonZeroUsize;
 
@@ -46,6 +52,11 @@ pub const SWEEP_CHUNK: usize = 2048;
 /// decided by the weight feedback loop), so balance sweeps stay sequential and the
 /// parallel fan-out lives in the refinement sweeps, where decisions are neighbour-local
 /// and stale-tolerant.
+///
+/// The fusion is also a commit fusion: a one-vertex chunk is proposed against the live
+/// labels, so `apply` receives the proposer's sums and commits with them instead of
+/// recounting the neighbourhood, and a rejected proposal is final (re-proposing would
+/// see the same state and return the same target).
 pub const BALANCE_CHUNK: usize = 1;
 
 /// Which sweep strategy a run uses. Carried in
@@ -113,11 +124,25 @@ pub fn resolve_threads(requested: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Dense per-part score accumulator with sparse clearing: only the entries touched by
-/// the current vertex are reset, so scoring costs `O(degree)` instead of `O(p)`.
+/// Dense per-part integer score accumulator with sparse clearing: only the entries
+/// touched by the current vertex are reset, so scoring costs `O(degree)` instead of
+/// `O(p)`.
+///
+/// Every score a stage derives is a neighbour count or a sum of integer weights (ghost
+/// degrees, coarse edge weights), so the sums are `u64` and exact; a stage converts a
+/// sum to `f64` only where it multiplies it by a balance weight, which yields exactly
+/// the value a float accumulator would have held.
+///
+/// A zero slot marks a part the current vertex has not touched yet: the first add onto
+/// it pushes the part to [`touched`](ScoreScratch::touched), which therefore lists
+/// parts in first-touch order without a membership scan. **Zero weights:** adding `0`
+/// is a no-op — it neither changes a sum nor touches the part — so a part is in
+/// `touched()` exactly when its sum is non-zero. (Every in-tree weight is at least 1:
+/// a neighbour's degree counts the arc back to the scored vertex, and coarse edge
+/// weights sum fine edges.)
 #[derive(Debug, Default)]
 pub struct ScoreScratch {
-    scores: Vec<f64>,
+    sums: Vec<u64>,
     touched: Vec<usize>,
 }
 
@@ -125,15 +150,15 @@ impl ScoreScratch {
     /// A scratch for `num_parts` parts.
     pub fn new(num_parts: usize) -> Self {
         ScoreScratch {
-            scores: vec![0.0; num_parts],
+            sums: vec![0; num_parts],
             touched: Vec::with_capacity(64),
         }
     }
 
     /// Resize for `num_parts` parts, clearing all state.
     pub fn ensure(&mut self, num_parts: usize) {
-        self.scores.clear();
-        self.scores.resize(num_parts, 0.0);
+        self.sums.clear();
+        self.sums.resize(num_parts, 0);
         self.touched.clear();
     }
 
@@ -141,27 +166,32 @@ impl ScoreScratch {
     #[inline]
     pub fn clear(&mut self) {
         for &t in &self.touched {
-            self.scores[t] = 0.0;
+            self.sums[t] = 0;
         }
         self.touched.clear();
     }
 
-    /// Accumulate `value` onto `part`'s score.
+    /// Accumulate `value` onto `part`'s sum (a no-op for `value == 0`).
     #[inline]
-    pub fn add(&mut self, part: usize, value: f64) {
-        if self.scores[part] == 0.0 && !self.touched.contains(&part) {
+    pub fn add(&mut self, part: usize, value: u64) {
+        let slot = &mut self.sums[part];
+        if *slot == 0 {
+            if value == 0 {
+                return;
+            }
             self.touched.push(part);
         }
-        self.scores[part] += value;
+        *slot += value;
     }
 
-    /// Current score of `part`.
+    /// Current sum of `part`.
     #[inline]
-    pub fn get(&self, part: usize) -> f64 {
-        self.scores[part]
+    pub fn get(&self, part: usize) -> u64 {
+        self.sums[part]
     }
 
-    /// The parts touched since the last [`clear`](ScoreScratch::clear).
+    /// The parts with a non-zero sum, in first-touch order since the last
+    /// [`clear`](ScoreScratch::clear).
     #[inline]
     pub fn touched(&self) -> &[usize] {
         &self.touched
@@ -343,13 +373,20 @@ pub struct SweepStats {
 /// chunk, *after* earlier proposals in the chunk have landed; it must re-validate the
 /// move against the current counters (and the live `parts`, which reflects earlier
 /// applications) and commit its counter updates, returning whether the move stands.
-/// The engine itself writes `parts[v]` and maintains the frontier.
+/// A rejecting `apply` must leave the stage unchanged. The engine itself writes
+/// `parts[v]` and maintains the frontier.
 pub trait SweepStage: Sync {
     /// Score `v`'s neighbourhood and pick a destination part, or [`NO_MOVE`].
     fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32;
 
     /// Recheck and commit the proposed move of `v` to `target`; `true` if it stands.
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool;
+    ///
+    /// `live` is `Some(scratch)` when the proposal was made against the current `parts`
+    /// and `scratch` still holds exactly the sums that `propose` accumulated for `v`
+    /// (one-vertex balance chunks and repair proposals): the stage reads its recheck
+    /// counts from it instead of walking `v`'s adjacency again. `None` means the
+    /// proposal came from a chunk-start snapshot that earlier moves may have changed.
+    fn apply(&mut self, v: u32, target: usize, parts: &[i32], live: Option<&ScoreScratch>) -> bool;
 }
 
 /// The sweep driver state: frontier, per-thread score scratches, the chunk proposal
@@ -511,22 +548,30 @@ impl SweepEngine {
         for chunk in active.chunks(chunk_size.max(1)) {
             // Phase 1: propose in parallel against the chunk-start snapshot.
             self.propose_chunk(chunk, parts, stage);
+            // A one-vertex chunk was proposed on scratch 0 against the live labels, so
+            // that scratch still holds the proposer's sums for the apply phase.
+            let live = chunk.len() == 1;
             // Phase 2: apply sequentially, in order, with the stage's recheck. A
             // rejected proposal (its chunk-start target has since filled up or lost
             // its appeal) is *repaired* by re-proposing against the live state — the
             // sequential adaptivity the legacy per-vertex loop had, paid only for the
             // vertices the chunk invalidated. Still deterministic: the apply phase is
-            // single-threaded and ordered.
+            // single-threaded and ordered. A rejected live proposal is final: the
+            // repair would see the same state and propose the same move.
             for (slot, &v) in chunk.iter().enumerate() {
                 let mut target = self.proposals[slot];
                 if target < 0 {
                     continue;
                 }
-                if parts[v as usize] == target || !stage.apply(v, target as usize, parts) {
+                let sums = live.then_some(&self.scratches[0]);
+                if parts[v as usize] == target || !stage.apply(v, target as usize, parts, sums) {
+                    if live {
+                        continue;
+                    }
                     target = stage.propose(v, parts, &mut self.scratches[0]);
                     if target < 0
                         || parts[v as usize] == target
-                        || !stage.apply(v, target as usize, parts)
+                        || !stage.apply(v, target as usize, parts, Some(&self.scratches[0]))
                     {
                         continue;
                     }
@@ -688,7 +733,13 @@ mod tests {
             }
         }
 
-        fn apply(&mut self, _v: u32, target: usize, _parts: &[i32]) -> bool {
+        fn apply(
+            &mut self,
+            _v: u32,
+            target: usize,
+            _parts: &[i32],
+            _live: Option<&ScoreScratch>,
+        ) -> bool {
             if target == 0 && self.size0 < self.capacity {
                 self.size0 += 1;
                 true
@@ -895,13 +946,13 @@ mod tests {
     #[test]
     fn score_scratch_clears_sparsely() {
         let mut s = ScoreScratch::new(4);
-        s.add(1, 2.0);
-        s.add(3, 1.0);
-        s.add(1, 0.5);
-        assert_eq!(s.get(1), 2.5);
+        s.add(1, 2);
+        s.add(3, 1);
+        s.add(1, 5);
+        assert_eq!(s.get(1), 7);
         assert_eq!(s.touched(), &[1, 3]);
         s.clear();
-        assert_eq!(s.get(1), 0.0);
+        assert_eq!(s.get(1), 0);
         assert!(s.touched().is_empty());
     }
 }

@@ -36,7 +36,7 @@ impl SweepStage for MlRefine<'_> {
         let x = parts[v as usize] as usize;
         scratch.clear();
         for (u, w) in self.graph.neighbors(v as u64) {
-            scratch.add(parts[u as usize] as usize, w as f64);
+            scratch.add(parts[u as usize] as usize, w);
         }
         let own = scratch.get(x);
         let vw = self.graph.vertex_weights[v as usize] as i64;
@@ -58,24 +58,30 @@ impl SweepStage for MlRefine<'_> {
         }
     }
 
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
+    fn apply(&mut self, v: u32, target: usize, parts: &[i32], live: Option<&ScoreScratch>) -> bool {
         let x = parts[v as usize] as usize;
         let vw = self.graph.vertex_weights[v as usize] as i64;
         if self.part_weights[target] + vw > self.max_part_weight as i64 {
             return false;
         }
         // The move must still strictly improve the weighted gain under the live labels
-        // (earlier applications in this chunk may have changed the neighbourhood).
-        let mut own = 0i64;
-        let mut tgt = 0i64;
-        for (u, w) in self.graph.neighbors(v as u64) {
-            let pu = parts[u as usize] as usize;
-            if pu == x {
-                own += w as i64;
-            } else if pu == target {
-                tgt += w as i64;
+        // (earlier applications in this chunk may have changed the neighbourhood); a
+        // live proposal's sums already are those gains.
+        let (own, tgt) = match live {
+            Some(sums) => (sums.get(x), sums.get(target)),
+            None => {
+                let (mut own, mut tgt) = (0u64, 0u64);
+                for (u, w) in self.graph.neighbors(v as u64) {
+                    let pu = parts[u as usize] as usize;
+                    if pu == x {
+                        own += w;
+                    } else if pu == target {
+                        tgt += w;
+                    }
+                }
+                (own, tgt)
             }
-        }
+        };
         if tgt <= own {
             return false;
         }
@@ -186,12 +192,12 @@ pub fn rebalance(
             let vw = graph.vertex_weights[v as usize] as i64;
             gain.clear();
             for (u, w) in graph.neighbors(v) {
-                gain.add(parts[u as usize] as usize, w as f64);
+                gain.add(parts[u as usize] as usize, w);
             }
             // Best feasible destination among neighbouring parts: the one keeping the
             // most adjacent edge weight (i.e. losing the least cut).
             let mut best: Option<usize> = None;
-            let mut best_gain = 0.0f64;
+            let mut best_gain = 0u64;
             for &i in gain.touched() {
                 if i == x || part_weights[i] + vw > max_part_weight as i64 {
                     continue;

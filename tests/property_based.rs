@@ -10,6 +10,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use xtrapulp_suite::core::metrics::{is_valid_partition, PartitionQuality};
+use xtrapulp_suite::core::sweep::ScoreScratch;
 use xtrapulp_suite::core::{baselines, Partitioner, PulpPartitioner};
 use xtrapulp_suite::graph::{csr_from_edges, DistGraph, Distribution};
 use xtrapulp_suite::prelude::*;
@@ -158,5 +159,59 @@ fn quality_metrics_are_internally_consistent() {
             q.vertex_imbalance >= 1.0 - 1e-9 || csr.num_vertices() == 0,
             "case {case}"
         );
+    }
+}
+
+/// The sweep kernel's `ScoreScratch` against a naive per-part map: sums, the
+/// first-touch order of `touched()`, reuse after `clear()`, resizing with `ensure()`
+/// (including between uncleared rounds), and the zero-weight rule — adding `0` neither
+/// changes a sum nor touches the part.
+#[test]
+fn score_scratch_matches_a_naive_per_part_map() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x5C0E + case);
+        let mut p = rng.gen_range(1..40usize);
+        let mut scratch = ScoreScratch::new(p);
+        for round in 0..12 {
+            // The model: (part, sum) in first-touch order.
+            let mut model: Vec<(usize, u64)> = Vec::new();
+            for _ in 0..rng.gen_range(0..200usize) {
+                let part = rng.gen_range(0..p);
+                let value = if rng.gen_bool(0.2) {
+                    0
+                } else {
+                    rng.gen_range(1..1000u64)
+                };
+                scratch.add(part, value);
+                if value > 0 {
+                    match model.iter_mut().find(|(q, _)| *q == part) {
+                        Some((_, sum)) => *sum += value,
+                        None => model.push((part, value)),
+                    }
+                }
+            }
+            let order: Vec<usize> = model.iter().map(|&(q, _)| q).collect();
+            assert_eq!(scratch.touched(), &order[..], "case {case} round {round}");
+            for q in 0..p {
+                let expected = model.iter().find(|(m, _)| *m == q).map_or(0, |&(_, s)| s);
+                assert_eq!(
+                    scratch.get(q),
+                    expected,
+                    "case {case} round {round} part {q}"
+                );
+            }
+            // Start the next round with a clear, or resized without one.
+            if rng.gen_bool(0.25) {
+                p = rng.gen_range(1..40usize);
+                scratch.ensure(p);
+            } else {
+                scratch.clear();
+            }
+            assert!(scratch.touched().is_empty(), "case {case} round {round}");
+            assert!(
+                (0..p).all(|q| scratch.get(q) == 0),
+                "case {case} round {round}"
+            );
+        }
     }
 }
